@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "obs/json.h"
 #include "storage/catalog.h"
 #include "storage/relation.h"
+#include "storage/tuple.h"
 
 namespace gdlog {
 namespace absint {
@@ -49,29 +51,15 @@ int MaxRank(TypeSet t) {
   return -1;  // empty: vacuous
 }
 
-// Structural key of a ground fact row, for counting distinct facts
-// without a ValueStore (interned Values compare by bits).
-void FactKey(const TermNode& t, std::string* out) {
-  switch (t.kind) {
-    case TermKind::kConstant:
-      out->append("c");
-      out->append(std::to_string(t.constant.bits()));
-      break;
-    case TermKind::kVariable:
-      out->append("v");
-      out->append(t.name);
-      break;
-    case TermKind::kCompound:
-      out->append(t.name);
-      out->append("(");
-      for (const TermNode& a : t.args) {
-        FactKey(a, out);
-        out->append(",");
-      }
-      out->append(")");
-      break;
+// Distinct fact rows (interned Values compare by bits).
+struct RowHash {
+  size_t operator()(TupleView t) const { return HashTuple(t); }
+};
+struct RowEq {
+  bool operator()(TupleView a, TupleView b) const {
+    return TupleEquals(a, b);
   }
-}
+};
 
 struct PredState {
   std::string name;
@@ -182,7 +170,6 @@ class Analyzer {
     add(expanded_);
     add(surface_);
     for (const Rule& r : expanded_.rules) {
-      if (r.is_fact()) continue;
       auto it = states_.find(KeyOf(r.head));
       if (it != states_.end()) it->second.has_rules = true;
     }
@@ -213,41 +200,24 @@ class Analyzer {
   }
 
   void SeedFromFacts() {
-    std::map<std::string, std::set<std::string>> distinct;
-    for (const Rule& r : expanded_.rules) {
-      if (!r.is_fact()) continue;
-      auto it = states_.find(KeyOf(r.head));
+    for (const FactBlock& b : surface_.facts) {
+      auto it = states_.find(PredKey(b.predicate, b.arity));
       if (it == states_.end()) continue;
       PredState& ps = it->second;
-      // When a catalog is present its row count already includes the
-      // program facts Engine::Run loaded; only the column lattice still
-      // needs the AST view (cheap, and a no-op after the row scan).
-      const bool count_rows = !ps.edb_seeded;
-      for (size_t j = 0; j < r.head.args.size(); ++j) {
-        const TermNode& a = r.head.args[j];
-        AbstractValue v = AbstractValue::Top();
-        if (a.is_const()) {
-          v = AVOfValue(a.constant);
-        } else if (a.is_compound()) {
-          // Engine::Run grounds fact arguments without evaluating
-          // arithmetic: every compound interns as a term.
-          v = AbstractValue::OfKind(ValueKind::kTerm);
+      for (size_t r = 0; r < b.rows; ++r) {
+        const TupleView row = b.Row(r);
+        for (uint32_t j = 0; j < b.arity; ++j) {
+          ps.cols[j] = ps.cols[j].Join(AVOfValue(row[j]));
         }
-        ps.cols[j] = ps.cols[j].Join(v);
       }
       ps.populated = true;
-      if (count_rows) {
-        std::string key;
-        for (const TermNode& a : r.head.args) {
-          FactKey(a, &key);
-          key.append(";");
-        }
-        auto& rows = distinct[KeyOf(r.head)];
-        if (rows.insert(std::move(key)).second) {
-          ps.base_rows += 1;
-          ps.hi = CardAdd(ps.hi, 1);
-        }
-      }
+      // When a catalog is present its row count already includes the
+      // program facts Engine::Run loaded.
+      if (ps.edb_seeded) continue;
+      std::unordered_set<TupleView, RowHash, RowEq> distinct;
+      for (size_t r = 0; r < b.rows; ++r) distinct.insert(b.Row(r));
+      ps.base_rows += distinct.size();
+      ps.hi = CardAdd(ps.hi, distinct.size());
     }
   }
 
@@ -555,7 +525,6 @@ class Analyzer {
       const bool widen = rounds_ > opts_.widen_after;
       for (size_t ri = 0; ri < n; ++ri) {
         const Rule& rule = expanded_.rules[ri];
-        if (rule.is_fact()) continue;
         BodyCtx ctx;
         AnalyzeBody(rule, &ctx);
         rule_ok[ri] = static_cast<char>(ctx.analyzable && !ctx.unsat);
@@ -597,7 +566,6 @@ class Analyzer {
       for (size_t ri = 0; ri < n; ++ri) {
         if (rule_ok[ri] == 0) continue;
         const Rule& rule = expanded_.rules[ri];
-        if (rule.is_fact()) continue;
         uint64_t ub = 1;
         for (const Literal& lit : rule.body) {
           if (!lit.is_positive_atom()) continue;
@@ -632,11 +600,10 @@ class Analyzer {
     Sink sink(out);
     for (size_t ri = 0; ri < expanded_.rules.size(); ++ri) {
       const Rule& rule = expanded_.rules[ri];
-      if (rule.is_fact()) continue;
       const std::string head = KeyOf(rule.head);
       auto it = states_.find(head);
       if (it != states_.end()) it->second.rules_total += 1;
-      sink.SetRule(static_cast<int>(ri), &rule, head);
+      sink.SetRule(static_cast<int>(surface_.RuleNumber(ri)), &rule, head);
       BodyCtx ctx;
       ctx.sink = &sink;
       AnalyzeBody(rule, &ctx);
@@ -700,7 +667,7 @@ class Analyzer {
               "witness set is always a singleton and the choice never "
               "actually chooses");
           d.predicate = KeyOf(rule.head);
-          d.rule_index = static_cast<int>(ri);
+          d.rule_index = static_cast<int>(surface_.RuleNumber(ri));
           d.loc = lit.loc.valid() ? lit.loc : rule.loc;
           out->push_back(std::move(d));
         }
@@ -712,7 +679,7 @@ class Analyzer {
             "extremum and no stage post-condition, a candidate that "
             "respects the recorded choices is never rejected");
         d.predicate = KeyOf(rule.head);
-        d.rule_index = static_cast<int>(ri);
+        d.rule_index = static_cast<int>(surface_.RuleNumber(ri));
         d.loc = rule.loc;
         out->push_back(std::move(d));
       }

@@ -88,7 +88,7 @@ struct AnalysisResult {
 };
 
 /// Analyzes `expanded` (the ExpandNext'd program the evaluator executes;
-/// rule indices must match `surface`). Choice-determinism findings are
+/// rule indices must match `surface`, whose fact blocks seed the EDB). Choice-determinism findings are
 /// derived from `surface` so synthesized choice literals from next()
 /// expansion are not misreported.
 AnalysisResult AnalyzeProgram(const Program& surface, const Program& expanded,

@@ -12,18 +12,24 @@ std::string Key(const std::string& name, uint32_t arity) {
 }
 }  // namespace
 
-DependencyGraph::DependencyGraph(const Program& program) {
-  for (uint32_t ri = 0; ri < program.rules.size(); ++ri) {
-    const Rule& r = program.rules[ri];
-    GDLOG_CHECK(r.head.kind == LiteralKind::kAtom);
-    const PredIndex head =
-        Ensure(r.head.predicate, static_cast<uint32_t>(r.head.args.size()));
-    is_idb_[head] = true;
-    rules_for_[head].push_back(ri);
-    for (const Literal& lit : r.body) {
-      AddLiteralEdges(lit, head, ri, /*under_negation=*/false);
-    }
-  }
+DependencyGraph::DependencyGraph(const Program& program,
+                                 const std::vector<FactBlock>& facts) {
+  // Source order fixes the node numbering, and with it the SCC order.
+  VisitInSourceOrder(
+      program, facts,
+      [&](const FactBlock& b) { is_idb_[Ensure(b.predicate, b.arity)] = true; },
+      [&](size_t i) {
+        const auto ri = static_cast<uint32_t>(i);
+        const Rule& r = program.rules[ri];
+        GDLOG_CHECK(r.head.kind == LiteralKind::kAtom);
+        const PredIndex head = Ensure(
+            r.head.predicate, static_cast<uint32_t>(r.head.args.size()));
+        is_idb_[head] = true;
+        rules_for_[head].push_back(ri);
+        for (const Literal& lit : r.body) {
+          AddLiteralEdges(lit, head, ri, /*under_negation=*/false);
+        }
+      });
   adj_.assign(names_.size(), {});
   for (uint32_t e = 0; e < edges_.size(); ++e) {
     adj_[edges_[e].from].push_back(e);

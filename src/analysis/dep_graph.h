@@ -26,9 +26,12 @@ inline constexpr PredIndex kNoPred = UINT32_MAX;
 
 class DependencyGraph {
  public:
-  /// Builds the graph for `program`. Predicates mentioned only in bodies
-  /// (pure EDB) get nodes too.
-  explicit DependencyGraph(const Program& program);
+  /// Builds the graph for the rules of `program`. Predicates mentioned
+  /// only in bodies (pure EDB) get nodes too, and so does each block of
+  /// `facts` (the parsed program's; the rewritten forms carry none), as
+  /// an IDB node with no rules, numbered where its first fact stands.
+  explicit DependencyGraph(const Program& program,
+                           const std::vector<FactBlock>& facts = {});
 
   size_t num_predicates() const { return names_.size(); }
   const std::string& name(PredIndex p) const { return names_[p]; }
@@ -45,7 +48,7 @@ class DependencyGraph {
   };
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// True if the predicate appears in some rule head.
+  /// True if the predicate appears in some rule head or has facts.
   bool IsIdb(PredIndex p) const { return is_idb_[p]; }
 
   /// Indices of rules whose head is p.

@@ -92,7 +92,8 @@ struct Diagnostic {
   std::string message;
   // Offending predicate as "name/arity"; empty when not predicate-specific.
   std::string predicate;
-  // Index into Program::rules; -1 when not rule-specific.
+  // The rule's source statement number (Program::RuleNumber; for a
+  // fact-only predicate, its first fact's); -1 when not rule-specific.
   int rule_index = -1;
   SourceLoc loc;
   // Extra explanation lines, e.g. the offending dependency cycle.

@@ -139,7 +139,6 @@ Result<GreedyTransformResult> PropagateExtremaIntoChoice(
         r.head.args.size() != gen_atom->args.size()) {
       continue;
     }
-    if (r.is_fact()) continue;
     const TermNode& acc_cost = r.head.args[gen_cost_pos];
     if (!acc_cost.is_var()) continue;
     // Find C = C1 + C2 (or the symmetric orientation).
@@ -287,6 +286,7 @@ Result<GreedyTransformResult> PropagateExtremaIntoChoice(
   out.stage_predicate = pc->pred;
   out.stage_arity = pc->arity;
   out.cost_position = pc->cost_pos;
+  out.transformed.facts = program.facts;
   for (size_t ri = 0; ri < program.rules.size(); ++ri) {
     if (ri == pc->least_rule || ri == pc->most_rule || ri == acc_index) {
       continue;  // post-conditions and accumulator are dissolved

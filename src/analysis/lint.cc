@@ -129,7 +129,7 @@ class Linter {
   Diagnostic AtRule(std::string_view code, std::string message, uint32_t ri,
                     SourceLoc loc) {
     Diagnostic d = MakeDiagnostic(code, std::move(message));
-    d.rule_index = static_cast<int>(ri);
+    d.rule_index = static_cast<int>(program_.RuleNumber(ri));
     d.loc = loc.valid() ? loc : program_.rules[ri].loc;
     const Literal& head = program_.rules[ri].head;
     d.predicate = PredKey(head.predicate, head.args.size());
@@ -219,7 +219,7 @@ class Linter {
         }
         Emit(AtRule(diag::kUnsafeHeadVar,
                     "head variable " + v + " of " + r.head.predicate +
-                        (r.is_fact()
+                        (r.body.empty()
                              ? " makes the fact non-ground"
                              : " is not bound by any positive body goal"),
                     ri, r.head.loc));
@@ -343,7 +343,7 @@ class Linter {
 
   struct PredUse {
     bool defined = false;
-    bool rule_defined = false;  // head of at least one non-fact rule
+    bool rule_defined = false;  // head of a rule with a body
     bool used = false;
     int def_rule = -1;
     SourceLoc def_loc;
@@ -354,15 +354,23 @@ class Linter {
   void CheckPredicates() {
     std::map<std::string, PredUse> preds;  // ordered for stable output
     std::map<std::string, std::set<uint32_t>> arities;
+    // The first definition in source order, fact or rule.
+    auto define = [&](PredUse* u, uint32_t number, SourceLoc loc) {
+      if (u->defined && u->def_rule <= static_cast<int>(number)) return;
+      u->defined = true;
+      u->def_rule = static_cast<int>(number);
+      u->def_loc = loc;
+    };
+    for (const FactBlock& b : program_.facts) {
+      define(&preds[PredKey(b.predicate, b.arity)], b.first_statement, b.loc);
+      arities[b.predicate].insert(b.arity);
+    }
     for (uint32_t ri = 0; ri < program_.rules.size(); ++ri) {
       const Rule& r = program_.rules[ri];
+      const int number = static_cast<int>(program_.RuleNumber(ri));
       PredUse& head = preds[PredKey(r.head.predicate, r.head.args.size())];
-      if (!head.defined) {
-        head.defined = true;
-        head.def_rule = static_cast<int>(ri);
-        head.def_loc = r.head.loc;
-      }
-      if (!r.is_fact()) head.rule_defined = true;
+      define(&head, number, r.head.loc);
+      if (!r.body.empty()) head.rule_defined = true;
       arities[r.head.predicate].insert(
           static_cast<uint32_t>(r.head.args.size()));
       std::function<void(const Literal&)> visit = [&](const Literal& l) {
@@ -370,7 +378,7 @@ class Linter {
           PredUse& u = preds[PredKey(l.predicate, l.args.size())];
           if (!u.used) {
             u.used = true;
-            u.use_rule = static_cast<int>(ri);
+            u.use_rule = number;
             u.use_loc = l.loc;
           }
           arities[l.predicate].insert(static_cast<uint32_t>(l.args.size()));
@@ -464,7 +472,6 @@ class Linter {
     }
     for (uint32_t ri = 0; ri < program_.rules.size(); ++ri) {
       const Rule& r = program_.rules[ri];
-      if (r.is_fact()) continue;  // dead facts are GD004's business
       const std::string key = PredKey(r.head.predicate, r.head.args.size());
       if (reachable.count(key) != 0) continue;
       Emit(AtRule(diag::kUnreachableRule,
@@ -523,7 +530,7 @@ class Linter {
         d.predicate = PredKey(g.name(cl.members[0]), g.arity(cl.members[0]));
       }
       if (!cl.rules.empty()) {
-        d.rule_index = static_cast<int>(cl.rules[0]);
+        d.rule_index = static_cast<int>(program_.RuleNumber(cl.rules[0]));
         d.loc = program_.rules[cl.rules[0]].loc;
       }
       const std::string cycle = FormatCycle(g, scc);

@@ -101,7 +101,9 @@ Result<Program> ExpandNext(const Program& program) {
     // Build: p(_..., I1), I = I1 + 1, choice(I, W), choice(W, I).
     Rule nr;
     nr.head = r.head;
-    const std::string prev_var = "S$" + std::to_string(ri);
+    nr.number = r.number;
+    const std::string rule_tag = std::to_string(program.RuleNumber(ri));
+    const std::string prev_var = "S$" + rule_tag;
     std::vector<TermNode> prev_args;
     std::vector<TermNode> w_elems;
     for (size_t j = 0; j < r.head.args.size(); ++j) {
@@ -109,7 +111,7 @@ Result<Program> ExpandNext(const Program& program) {
         prev_args.push_back(TermNode::Var(prev_var));
       } else {
         prev_args.push_back(
-            TermNode::Var("A$" + std::to_string(ri) + "_" + std::to_string(j)));
+            TermNode::Var("A$" + rule_tag + "_" + std::to_string(j)));
         w_elems.push_back(r.head.args[j]);
       }
     }
@@ -142,6 +144,7 @@ Program EraseChoice(const Program& program) {
   for (const Rule& r : program.rules) {
     Rule nr;
     nr.head = r.head;
+    nr.number = r.number;
     for (const Literal& l : r.body) {
       if (l.kind != LiteralKind::kChoice) nr.body.push_back(l);
     }
@@ -278,6 +281,7 @@ Result<Program> RewriteExtrema(const Program& program) {
 
     Rule nr;
     nr.head = r.head;
+    nr.number = r.number;
     std::vector<Literal> rest;
     for (const Literal& l : r.body) {
       if (&l != &*ext_it) rest.push_back(l);

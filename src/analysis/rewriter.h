@@ -23,6 +23,9 @@
 //
 // Generated predicate names contain '$' (chosen$0, diffChoice$0, aux$1),
 // which user programs cannot lex — no capture is possible.
+//
+// Every step maps rules to rules; a program's fact blocks are not
+// copied into the output.
 #ifndef GDLOG_ANALYSIS_REWRITER_H_
 #define GDLOG_ANALYSIS_REWRITER_H_
 

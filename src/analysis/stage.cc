@@ -362,7 +362,7 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
                                     const StageAnalysisOptions& options) {
   StageAnalysis out;
   GDLOG_ASSIGN_OR_RETURN(out.expanded, ExpandNext(program));
-  out.graph = std::make_unique<DependencyGraph>(out.expanded);
+  out.graph = std::make_unique<DependencyGraph>(out.expanded, program.facts);
   const DependencyGraph& graph = *out.graph;
 
   // The ordering-check form: choice erased, extrema rewritten.
@@ -592,7 +592,8 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
                       oc.Proves(occ.key, head_key, need_strict);
         if (!proven) {
           const std::string msg =
-              "rule " + std::to_string(ri) + " for " + cr.head.predicate +
+              "rule " + std::to_string(program.RuleNumber(ri)) + " for " +
+              cr.head.predicate +
               ": stage argument of body goal " + occ.where +
               (need_strict ? " not provably < " : " not provably <= ") +
               "head stage argument";

@@ -292,7 +292,7 @@ Status Engine::LoadProgramAst(Program program) {
                         : std::string_view(cl.code),
         cl.diagnostic);
     if (!cl.rules.empty()) {
-      d.rule_index = static_cast<int>(cl.rules[0]);
+      d.rule_index = static_cast<int>(program.RuleNumber(cl.rules[0]));
       d.loc = program.rules[cl.rules[0]].loc;
     }
     return DiagnosticToStatus(d);
@@ -443,66 +443,25 @@ Status Engine::SyncDurability() {
   return st;
 }
 
-namespace {
-
-Result<Value> GroundValue(const TermNode& t, ValueStore* store) {
-  switch (t.kind) {
-    case TermKind::kConstant:
-      return t.constant;
-    case TermKind::kVariable:
-      return Status::InvalidArgument("fact contains variable " + t.name);
-    case TermKind::kCompound: {
-      std::vector<Value> args;
-      for (const TermNode& a : t.args) {
-        GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(a, store));
-        args.push_back(v);
-      }
-      if (t.is_tuple()) return store->MakeTuple(args);
-      return store->MakeTerm(t.name, args);
-    }
-  }
-  return Status::Internal("unreachable");
-}
-
-}  // namespace
-
 Status Engine::LoadProgramDurable(std::string_view text) {
-  GDLOG_RETURN_IF_ERROR(faults_status_);
-  GDLOG_RETURN_IF_ERROR(durability_status_);
+  GDLOG_RETURN_IF_ERROR(LoadProgram(text));
+  // The inline facts go through AddFact so the WAL sees them, block by
+  // block in the order Run would insert them; recovery then reproduces
+  // every relation's row order exactly. Run must not insert them again,
+  // nor — after a failed add — any that were never logged.
+  program_facts_added_ = true;
   try {
-    const uint64_t t0 = WallNowNs();
-    auto parsed = [&] {
-      TraceSpan span(tracer_.get(), "parse", "engine");
-      return ParseProgram(store_.get(), text);
-    }();
-    phase_times_.parse_ns += WallNowNs() - t0;
-    GDLOG_RETURN_IF_ERROR(parsed.status());
-    // Split inline facts from rules: rules load as the program, facts
-    // go through AddFact so the WAL sees them (in program order, which
-    // recovery then reproduces exactly).
-    Program rules;
-    std::vector<Rule> facts;
-    for (Rule& r : parsed->rules) {
-      if (r.is_fact()) {
-        facts.push_back(std::move(r));
-      } else {
-        rules.rules.push_back(std::move(r));
+    for (const FactBlock& b : program_->facts) {
+      for (size_t r = 0; r < b.rows; ++r) {
+        const auto row = b.Row(r);
+        GDLOG_RETURN_IF_ERROR(
+            AddFact(b.predicate, std::vector<Value>(row.begin(), row.end())));
       }
     }
-    GDLOG_RETURN_IF_ERROR(LoadProgramAst(std::move(rules)));
-    for (const Rule& f : facts) {
-      std::vector<Value> tuple;
-      tuple.reserve(f.head.args.size());
-      for (const TermNode& t : f.head.args) {
-        GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(t, store_.get()));
-        tuple.push_back(v);
-      }
-      GDLOG_RETURN_IF_ERROR(AddFact(f.head.predicate, std::move(tuple)));
-    }
-    return Status::OK();
   } catch (const std::bad_alloc&) {
     return OomStatus();
   }
+  return Status::OK();
 }
 
 Status Engine::Run() {
@@ -637,21 +596,21 @@ void Engine::PublishRunArtifacts() {
 }
 
 Status Engine::RunInner() {
-  // Load program facts.
-  for (const Rule& r : program_->rules) {
-    if (!r.is_fact()) continue;
-    std::vector<Value> tuple;
-    for (const TermNode& t : r.head.args) {
-      GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(t, store_.get()));
-      tuple.push_back(v);
+  // Load program facts, after any AddFact rows (unless LoadProgramDurable
+  // already sent them through AddFact).
+  if (!program_facts_added_) {
+    const uint64_t facts_t0 = WallNowNs();
+    TraceSpan span(tracer_.get(), "facts", "engine");
+    for (const FactBlock& b : program_->facts) {
+      Relation& rel = catalog_->relation(catalog_->Ensure(b.predicate, b.arity));
+      for (size_t r = 0; r < b.rows; ++r) {
+        const auto res = rel.Insert(b.Row(r));
+        if (res.inserted && rel.provenance_enabled()) {
+          rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
+        }
+      }
     }
-    const PredicateId id = catalog_->Ensure(
-        r.head.predicate, static_cast<uint32_t>(r.head.args.size()));
-    Relation& rel = catalog_->relation(id);
-    const auto res = rel.Insert(TupleView(tuple));
-    if (res.inserted && rel.provenance_enabled()) {
-      rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
-    }
+    phase_times_.facts_ns += WallNowNs() - facts_t0;
   }
 
   // Everything present now (user facts + program facts) seeds the
@@ -711,7 +670,7 @@ Status Engine::RunInner() {
     for (const CompiledRule& r : *compiled) {
       if (r.plan_decisions.empty()) continue;
       recorder_->Record(FlightEventKind::kPlanDecision,
-                        static_cast<int64_t>(r.rule_index),
+                        static_cast<int64_t>(r.number),
                         static_cast<int64_t>(r.plan_decisions.size()));
     }
   }
@@ -855,6 +814,7 @@ Result<std::string> Engine::RunReport() const {
   w.Key("phases").BeginObject();
   w.Key("parse_ms").Double(NsToMs(phase_times_.parse_ns));
   w.Key("analyze_ms").Double(NsToMs(phase_times_.analyze_ns));
+  w.Key("facts_ms").Double(NsToMs(phase_times_.facts_ns));
   w.Key("absint_ms").Double(NsToMs(phase_times_.absint_ns));
   w.Key("compile_ms").Double(NsToMs(phase_times_.compile_ns));
   w.Key("eval_ms").Double(NsToMs(phase_times_.eval_ns));
@@ -893,7 +853,7 @@ Result<std::string> Engine::RunReport() const {
   for (const CompiledRule& r : driver_->rules()) {
     if (r.plan_decisions.empty()) continue;
     w.BeginObject();
-    w.Key("rule").UInt(r.rule_index);
+    w.Key("rule").UInt(r.number);
     w.Key("goals").BeginArray();
     for (const PlanDecision& d : r.plan_decisions) {
       w.BeginObject();
@@ -938,7 +898,7 @@ Result<std::string> Engine::RunReport() const {
     const RuleProfile& p = profiles[i];
     if (p.head.empty()) continue;  // no compiled rule at this index
     w.BeginObject();
-    w.Key("rule").UInt(i);
+    w.Key("rule").UInt(p.rule);
     w.Key("head").String(p.head);
     w.Key("kind").String(p.kind);
     w.Key("recursive").Bool(p.recursive);
@@ -959,7 +919,7 @@ Result<std::string> Engine::RunReport() const {
     if (q == nullptr) continue;
     w.BeginObject();
     w.Key("gamma").Int(r.gamma_index);
-    w.Key("rule").UInt(r.rule_index);
+    w.Key("rule").UInt(r.number);
     w.Key("inserted").UInt(q->inserted);
     w.Key("merged").UInt(q->merged);
     w.Key("redundant").UInt(q->redundant);
@@ -1127,7 +1087,7 @@ Result<std::string> Engine::ExplainAnalyzeText() const {
     const std::string& head = r.rule_index < profiles.size()
                                   ? profiles[r.rule_index].head
                                   : std::string();
-    std::snprintf(line, sizeof(line), "%% rule %u (%s):\n", r.rule_index,
+    std::snprintf(line, sizeof(line), "%% rule %u (%s):\n", r.number,
                   head.c_str());
     out += line;
     for (const PlanDecision& d : r.plan_decisions) {
@@ -1299,6 +1259,7 @@ Status Engine::WriteMetricsText(const std::string& path) const {
 Result<std::string> Engine::RewrittenProgramText() const {
   if (!program_) return Status::InvalidArgument("no program loaded");
   GDLOG_ASSIGN_OR_RETURN(Program full, FullSemanticExpansion(*program_));
+  full.facts = program_->facts;
   return ProgramToString(*store_, full);
 }
 
@@ -1326,7 +1287,7 @@ Result<std::string> Engine::AnalysisReport() const {
     if (!cl.diagnostic.empty()) out += "\n  note: " + cl.diagnostic;
     out += "\n";
     for (uint32_t ri : cl.rules) {
-      out += "  rule " + std::to_string(ri) + ": ";
+      out += "  rule " + std::to_string(program_->RuleNumber(ri)) + ": ";
       switch (a.rule_info[ri].kind) {
         case RuleKind::kExit:
           out += "exit";
@@ -1411,10 +1372,10 @@ Result<StableCheckResult> Engine::VerifyStableModel() const {
 std::vector<std::string> Engine::RuleTexts() const {
   std::vector<std::string> texts;
   if (!program_) return texts;
-  texts.reserve(program_->rules.size());
-  for (const Rule& r : program_->rules) {
-    texts.push_back(r.is_fact() ? std::string()
-                                : RuleToString(*store_, r));
+  for (size_t i = 0; i < program_->rules.size(); ++i) {
+    const uint32_t number = program_->RuleNumber(i);
+    if (texts.size() <= number) texts.resize(number + 1);
+    texts[number] = RuleToString(*store_, program_->rules[i]);
   }
   return texts;
 }
@@ -1455,22 +1416,15 @@ Result<std::pair<PredicateId, RowId>> Engine::ResolveWhyTarget(
     // A ground atom: parse it as a one-fact program.
     GDLOG_ASSIGN_OR_RETURN(Program p,
                            ParseProgram(store_.get(), target + "."));
-    if (p.rules.size() != 1 || !p.rules[0].is_fact()) {
+    if (!p.rules.empty() || p.facts.size() != 1 || p.facts[0].rows != 1) {
       return Status::InvalidArgument("expected one ground atom: " + target);
     }
-    const Rule& fact = p.rules[0];
-    std::vector<Value> tuple;
-    for (const TermNode& t : fact.head.args) {
-      GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(t, store_.get()));
-      tuple.push_back(v);
-    }
-    const PredicateId id = catalog_->Lookup(
-        fact.head.predicate, static_cast<uint32_t>(tuple.size()));
+    const FactBlock& fact = p.facts[0];
+    const PredicateId id = catalog_->Lookup(fact.predicate, fact.arity);
     if (id == kNoPredicate) {
-      return Status::InvalidArgument("unknown predicate: " +
-                                     fact.head.predicate);
+      return Status::InvalidArgument("unknown predicate: " + fact.predicate);
     }
-    const RowId row = catalog_->relation(id).Find(TupleView(tuple));
+    const RowId row = catalog_->relation(id).Find(fact.Row(0));
     if (row == kNoRow) {
       return Status::InvalidArgument("tuple not in the model: " + target);
     }

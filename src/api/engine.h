@@ -106,12 +106,14 @@ struct EngineOptions {
   bool provenance = false;
 };
 
-/// Wall time of the coarse engine phases, nanoseconds. Parse/analyze/
-/// compile/eval are always collected (four clock pairs per run); the
-/// saturate/gamma split inside eval requires obs.enabled.
+/// Wall time of the coarse engine phases, nanoseconds, always collected
+/// (one clock pair each); the saturate/gamma split inside eval requires
+/// obs.enabled. Run() is facts + absint + compile + eval, where facts is
+/// the insert of the program's inline facts.
 struct EnginePhaseTimes {
   uint64_t parse_ns = 0;
   uint64_t analyze_ns = 0;
+  uint64_t facts_ns = 0;
   uint64_t absint_ns = 0;
   uint64_t compile_ns = 0;
   uint64_t eval_ns = 0;
@@ -164,11 +166,9 @@ class Engine {
   /// Same, from an already-built AST.
   Status LoadProgramAst(Program program);
   /// Like LoadProgram, but routes the program's inline facts through
-  /// AddFact so that with durability on they are WAL-logged like any
-  /// other EDB edit (plain LoadProgram treats inline facts as part of
-  /// the program text, invisible to the durable store). Equivalent to
-  /// LoadProgram when durability is off, except that the facts no
-  /// longer appear in program()->rules.
+  /// AddFact now, so that with durability on they are WAL-logged like
+  /// any other EDB edit (plain LoadProgram inserts them at Run,
+  /// invisible to the durable store). program() is the same either way.
   Status LoadProgramDurable(std::string_view text);
 
   /// Adds an EDB tuple before Run. With durability on, the fact is
@@ -235,7 +235,8 @@ class Engine {
   const CandidateQueueStats* QueueStats(int gamma_index) const;
 
   // -- Observability -------------------------------------------------------
-  /// Per-rule evaluation profiles (by rule index); nullptr before Run.
+  /// Per-rule evaluation profiles (by rule position; RuleProfile::rule
+  /// is the rule's number); nullptr before Run.
   const std::vector<RuleProfile>* RuleProfiles() const;
   /// Coarse phase wall times collected so far.
   const EnginePhaseTimes& phase_times() const { return phase_times_; }
@@ -395,7 +396,7 @@ class Engine {
   /// once evaluation stopped (RunReport JSON, Chrome trace) into the
   /// endpoint's bounded ring, plus the terminal progress event.
   void PublishRunArtifacts();
-  /// Rendered program rules indexed by rule index (facts stay empty).
+  /// Rendered program rules indexed by rule number (gaps stay empty).
   std::vector<std::string> RuleTexts() const;
   /// Runs the abstract interpreter on the loaded program against the
   /// current catalog contents.
@@ -418,6 +419,8 @@ class Engine {
   // into budget_ before the stores go.
   std::unique_ptr<DurableStore> durable_;
   Status durability_status_;  // latched open/recovery failure
+  // LoadProgramDurable sent program_->facts through AddFact already.
+  bool program_facts_added_ = false;
   std::unique_ptr<Program> program_;
   std::unique_ptr<StageAnalysis> analysis_;
   std::unique_ptr<absint::AnalysisResult> absint_;

@@ -141,10 +141,13 @@ std::vector<Program::PredicateRef> Program::AllPredicates() const {
     }
     for (const Literal& inner : l.body) visit(inner);
   };
-  for (const Rule& r : rules) {
-    visit(r.head);
-    for (const Literal& l : r.body) visit(l);
-  }
+  VisitInSourceOrder(
+      *this, facts,
+      [&](const FactBlock& b) { add(b.predicate, b.arity); },
+      [&](size_t i) {
+        visit(rules[i].head);
+        for (const Literal& l : rules[i].body) visit(l);
+      });
   return out;
 }
 

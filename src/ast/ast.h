@@ -1,7 +1,8 @@
 // Abstract syntax for the choice-Datalog language of the paper.
 //
-// A program is a list of rules; a fact is a rule with empty body and
-// ground head. Rule bodies mix:
+// A program is a list of rules plus its ground facts. The parser keeps
+// facts out of the rule list: each predicate's facts are one flat block
+// of Values (FactBlock), so a fact costs no AST nodes. Rule bodies mix:
 //
 //   * positive / negated atoms            g(X,Y,C), not visited(Y)
 //   * negated conjunctions                not (subtree(X,L), L < I)
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -211,12 +213,17 @@ struct Literal {
 // ---------------------------------------------------------------------------
 
 struct Rule {
+  static constexpr uint32_t kUnnumbered = UINT32_MAX;
+
   Literal head;  // always a positive kAtom
-  std::vector<Literal> body;
+  std::vector<Literal> body;  // empty only for a non-ground fact, p(X).
   // Location of the rule's first token (the head predicate name).
   SourceLoc loc;
+  // Source statement number (facts count too): the number diagnostics,
+  // plans, profiles and provenance show for the rule. Programs built
+  // without the parser leave it unset; see Program::RuleNumber.
+  uint32_t number = kUnnumbered;
 
-  bool is_fact() const { return body.empty(); }
   /// True if any body literal is next(_).
   bool has_next() const;
   /// True if any body literal is a choice goal.
@@ -225,10 +232,37 @@ struct Rule {
   bool has_extrema() const;
 };
 
+/// The ground facts of one predicate, in source order: row r is
+/// values[r * arity, (r + 1) * arity). Duplicates are kept; inserting
+/// into a Relation dedups them.
+struct FactBlock {
+  std::string predicate;
+  uint32_t arity = 0;
+  size_t rows = 0;
+  std::vector<Value> values;
+  // Statement number and location of the block's first fact.
+  uint32_t first_statement = 0;
+  SourceLoc loc;
+
+  std::span<const Value> Row(size_t r) const {
+    return {values.data() + r * arity, arity};
+  }
+};
+
 struct Program {
   std::vector<Rule> rules;
+  // One block per predicate name/arity, in order of first appearance.
+  // The rewriters carry rules only; facts stay with the parsed program.
+  std::vector<FactBlock> facts;
 
-  /// All predicate name/arity pairs appearing anywhere in the program.
+  /// rules[i].number, or i when the rule is unnumbered.
+  uint32_t RuleNumber(size_t i) const {
+    return rules[i].number == Rule::kUnnumbered ? static_cast<uint32_t>(i)
+                                                : rules[i].number;
+  }
+
+  /// All predicate name/arity pairs appearing anywhere in the program,
+  /// fact blocks included, in order of first appearance.
   struct PredicateRef {
     std::string name;
     uint32_t arity;
@@ -236,6 +270,25 @@ struct Program {
   };
   std::vector<PredicateRef> AllPredicates() const;
 };
+
+/// Walks `program`'s rules and the blocks of `facts` in source order,
+/// each block standing at its first fact: calls on_block(const
+/// FactBlock&) and on_rule(size_t rule_position). `facts` is passed
+/// apart because the rewritten programs carry no facts of their own.
+template <typename OnBlock, typename OnRule>
+void VisitInSourceOrder(const Program& program,
+                        const std::vector<FactBlock>& facts, OnBlock on_block,
+                        OnRule on_rule) {
+  size_t b = 0;
+  for (size_t i = 0; i < program.rules.size(); ++i) {
+    const uint32_t number = program.RuleNumber(i);
+    for (; b < facts.size() && facts[b].first_statement < number; ++b) {
+      on_block(facts[b]);
+    }
+    on_rule(i);
+  }
+  for (; b < facts.size(); ++b) on_block(facts[b]);
+}
 
 /// Appends the names of all variables in `lit` (including those under
 /// NotExists and inside meta-goal tuples) to `out`.

@@ -35,8 +35,4 @@ Rule MakeRule(Literal head, std::vector<Literal> body) {
   return r;
 }
 
-Rule Fact(std::string pred, std::vector<TermNode> args) {
-  return MakeRule(Atom(std::move(pred), std::move(args)), {});
-}
-
 }  // namespace gdlog

@@ -31,8 +31,6 @@ Literal NegAtom(std::string pred, std::vector<TermNode> args);
 
 /// A rule head <- body.
 Rule MakeRule(Literal head, std::vector<Literal> body);
-/// A ground fact.
-Rule Fact(std::string pred, std::vector<TermNode> args);
 
 }  // namespace gdlog
 

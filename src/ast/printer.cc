@@ -1,13 +1,15 @@
 #include "ast/printer.h"
 
+#include <span>
 #include <sstream>
+#include <string_view>
 
 namespace gdlog {
 
 namespace {
 
 // Precedence for infix arithmetic rendering: + - below * / mod.
-int FunctorPrecedence(const std::string& f) {
+int FunctorPrecedence(std::string_view f) {
   if (f == "+" || f == "-") return 1;
   if (f == "*" || f == "/" || f == "mod") return 2;
   return 0;  // not infix
@@ -46,6 +48,36 @@ void PrintTerm(const ValueStore& store, const TermNode& t, std::ostream& out,
       return;
     }
   }
+}
+
+/// A fact argument as source text that parses back to the same Value:
+/// the terms an operator built (p(1+2) holds +(1,2)) print infix again.
+void PrintValue(const ValueStore& store, Value v, std::ostream& out,
+                int parent_prec) {
+  if (v.kind() != ValueKind::kTerm) {
+    out << store.ToString(v);
+    return;
+  }
+  const TermId id = v.AsTermId();
+  const std::string_view functor = store.SymbolName(store.TermFunctor(id));
+  const std::span<const Value> args = store.TermArgs(id);
+  const int prec = FunctorPrecedence(functor);
+  if (prec > 0 && args.size() == 2) {
+    const bool paren = prec < parent_prec;
+    if (paren) out << "(";
+    PrintValue(store, args[0], out, prec);
+    out << " " << functor << " ";
+    PrintValue(store, args[1], out, prec + 1);
+    if (paren) out << ")";
+    return;
+  }
+  if (!store.IsTuple(v)) out << functor;
+  out << "(";
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (i) out << ", ";
+    PrintValue(store, args[i], out, 0);
+  }
+  out << ")";
 }
 
 void PrintLiteral(const ValueStore& store, const Literal& l,
@@ -140,6 +172,21 @@ std::string RuleToString(const ValueStore& store, const Rule& r) {
 
 std::string ProgramToString(const ValueStore& store, const Program& p) {
   std::ostringstream out;
+  for (const FactBlock& b : p.facts) {
+    for (size_t r = 0; r < b.rows; ++r) {
+      out << b.predicate;
+      if (b.arity > 0) {
+        out << "(";
+        const std::span<const Value> row = b.Row(r);
+        for (size_t i = 0; i < row.size(); ++i) {
+          if (i) out << ", ";
+          PrintValue(store, row[i], out, 0);
+        }
+        out << ")";
+      }
+      out << ".\n";
+    }
+  }
   for (const Rule& r : p.rules) out << RuleToString(store, r) << "\n";
   return out.str();
 }

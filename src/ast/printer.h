@@ -1,7 +1,8 @@
 // Pretty printer for programs, rules, literals, and terms.
 //
 // Output round-trips through the parser (tested), and matches the paper's
-// surface syntax: `head <- goal, goal, ... .`
+// surface syntax: `head <- goal, goal, ... .` ProgramToString prints the
+// fact blocks first, then the rules.
 #ifndef GDLOG_AST_PRINTER_H_
 #define GDLOG_AST_PRINTER_H_
 

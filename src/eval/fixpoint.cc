@@ -35,6 +35,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
   profiles_.resize(rules_.empty() ? 0 : max_rule + 1);
   for (const CompiledRule& r : rules_) {
     RuleProfile& p = profiles_[r.rule_index];
+    p.rule = r.number;
     const Relation& head = catalog_->relation(r.head_pred);
     p.head = head.name() + "/" + std::to_string(head.arity());
     p.kind = r.is_next ? "next"
@@ -45,7 +46,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     if (obs_.metrics != nullptr) {
       p.latency = obs_.metrics->GetHistogram(
           "rule.apply_ns", {{"rule", p.head + "#" +
-                                         std::to_string(r.rule_index)}});
+                                         std::to_string(r.number)}});
     }
   }
   for (const CompiledRule& r : rules_) {
@@ -89,7 +90,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
         row[g].fanout = obs_.metrics->GetHistogram(
             "goal.fanout",
             {{"rule", profiles_[r.rule_index].head + "#" +
-                          std::to_string(r.rule_index)},
+                          std::to_string(r.number)},
              {"goal", std::to_string(g)}});
       }
     }
@@ -282,9 +283,8 @@ void FixpointDriver::PublishMetrics() {
   // even when a bad_alloc bypasses this function.
   for (const RuleProfile& p : profiles_) {
     if (p.head.empty()) continue;
-    // Label by head + index so two rules with the same head stay apart.
-    const size_t idx = static_cast<size_t>(&p - profiles_.data());
-    const MetricLabels labels{{"rule", p.head + "#" + std::to_string(idx)}};
+    // Label by head + number so two rules with the same head stay apart.
+    const MetricLabels labels{{"rule", p.head + "#" + std::to_string(p.rule)}};
     m.GetCounter("rule.invocations", labels)->Add(p.invocations);
     m.GetCounter("rule.tuples", labels)->Add(p.tuples);
     m.GetCounter("rule.dedup_hits", labels)->Add(p.dedup_hits);
@@ -372,7 +372,7 @@ void FixpointDriver::EvalPlain(const CompiledRule& rule,
     const Relation& head = catalog_->relation(rule.head_pred);
     fprintf(stderr,
             "[plain] rule#%u head=%s d=%d inserted=%zu size=%zu rows=%llu\n",
-            rule.rule_index, head.name().c_str(),
+            rule.number, head.name().c_str(),
             delta_occurrence == CompiledScan::kNoOccurrence
                 ? -1
                 : static_cast<int>(delta_occurrence),
@@ -434,7 +434,7 @@ void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
         ++exec_.stats().inserts;
         ++prof.tuples;
         if (prov_) {
-          head_rel.Annotate(res.row, rule.rule_index, g.provs[i].data(),
+          head_rel.Annotate(res.row, rule.number, g.provs[i].data(),
                             g.provs[i].size());
         }
       } else {
@@ -749,7 +749,7 @@ void FixpointDriver::MergeApp(const App& app, WorkerTask* tasks,
               ++inserted;
               ++exec_.stats().inserts;
               if (prov_) {
-                head_rel.Annotate(res.row, rule.rule_index, prem, prov_width);
+                head_rel.Annotate(res.row, rule.number, prem, prov_width);
               }
             }
           }
@@ -831,7 +831,7 @@ void FixpointDriver::MergeApp(const App& app, WorkerTask* tasks,
             ++exec_.stats().inserts;
             ++prof.tuples;
             if (prov_) {
-              head_rel.Annotate(res.row, rule.rule_index,
+              head_rel.Annotate(res.row, rule.number,
                                 grp.provs[i].data(), grp.provs[i].size());
             }
           } else {
@@ -1049,7 +1049,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
         if (obs_.recorder != nullptr) {
           obs_.recorder->Record(
               FlightEventKind::kChoiceReject,
-              static_cast<int64_t>(rule.rule_index),
+              static_cast<int64_t>(rule.number),
               static_cast<int64_t>(g->queue->LiveSize()));
         }
         g->queue->MarkRedundant(*cand);
@@ -1061,7 +1061,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       ++rej_fd;
       if (obs_.recorder != nullptr) {
         obs_.recorder->Record(FlightEventKind::kChoiceReject,
-                              static_cast<int64_t>(rule.rule_index),
+                              static_cast<int64_t>(rule.number),
                               static_cast<int64_t>(g->queue->LiveSize()));
       }
       g->queue->MarkRedundant(*cand);
@@ -1085,7 +1085,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       ++exec_.stats().inserts;
       ++prof.tuples;
       if (prov_) {
-        head_rel.Annotate(res.row, rule.rule_index, cand->premises.data(),
+        head_rel.Annotate(res.row, rule.number, cand->premises.data(),
                           cand->premises.size());
       }
     } else {
@@ -1097,16 +1097,16 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     if (pops_per_fire_hist_ != nullptr) pops_per_fire_hist_->Record(pops);
     if (obs_.recorder != nullptr) {
       obs_.recorder->Record(FlightEventKind::kGammaFire,
-                            static_cast<int64_t>(rule.rule_index),
+                            static_cast<int64_t>(rule.number),
                             static_cast<int64_t>(stats_.gamma_firings));
     }
     if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
       obs_.tracer->Instant("gamma.fire", "gamma",
-                           {{"rule", rule.rule_index}});
+                           {{"rule", rule.number}});
     }
     if (audit_ != nullptr) {
       ChoiceAuditEntry e;
-      e.rule_index = rule.rule_index;
+      e.rule_index = rule.number;
       e.gamma_index = rule.gamma_index;
       e.firing = stats_.gamma_firings;
       e.candidate_set = live_before;
@@ -1175,7 +1175,7 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
         // candidate plus the post plan's premises at the firing.
         std::vector<ProvPremise> prems = cand.premises;
         prems.insert(prems.end(), post_prov.begin(), post_prov.end());
-        head_rel.Annotate(res.row, rule.rule_index, prems.data(),
+        head_rel.Annotate(res.row, rule.number, prems.data(),
                           prems.size());
       }
     } else {
@@ -1199,12 +1199,12 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
     ++prof.firings;
     if (obs_.recorder != nullptr) {
       obs_.recorder->Record(FlightEventKind::kStageAdvance,
-                            static_cast<int64_t>(rule.rule_index),
+                            static_cast<int64_t>(rule.number),
                             ctx->stage_counter);
     }
     if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
       obs_.tracer->Instant("stage.advance", "gamma",
-                           {{"rule", rule.rule_index},
+                           {{"rule", rule.number},
                             {"stage", ctx->stage_counter}});
     }
     ++ctx->stage_counter;
@@ -1215,7 +1215,7 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
     if (audit != nullptr && !saw_solution) ++audit->rejected_post;
     if (obs_.recorder != nullptr) {
       obs_.recorder->Record(FlightEventKind::kChoiceReject,
-                            static_cast<int64_t>(rule.rule_index),
+                            static_cast<int64_t>(rule.number),
                             static_cast<int64_t>(g->queue->LiveSize()));
     }
     g->queue->MarkRedundant(cand);
@@ -1253,7 +1253,7 @@ bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
             pops_per_fire_hist_->Record(pops);
           }
           if (audit_ != nullptr) {
-            entry.rule_index = g->rule->rule_index;
+            entry.rule_index = g->rule->number;
             entry.gamma_index = g->rule->gamma_index;
             entry.firing = stats_.gamma_firings;
             entry.candidate_set = live_before;

@@ -134,6 +134,7 @@ struct FixpointStats {
 /// Counts are always maintained (they are O(1) per rule application);
 /// wall_ns is collected only when observability is enabled.
 struct RuleProfile {
+  uint32_t rule = 0;           // source statement number (CompiledRule)
   std::string head;            // "pred/arity"; empty = no compiled rule
   const char* kind = "";       // "plain" | "aggregate" | "gamma" | "next"
   bool recursive = false;

@@ -329,7 +329,7 @@ class Printer {
 
   void PrintRule(const RuleIR& r) {
     rule_ = r.rule;
-    out_ << "\nrule " << rule_->rule_index << ": "
+    out_ << "\nrule " << rule_->number << ": "
          << catalog_.DisplayName(rule_->head_pred);
     const char* kind = rule_->is_next          ? " [next]"
                        : rule_->is_gamma       ? " [gamma]"
@@ -484,7 +484,7 @@ ProgramIR LowerProgram(const std::vector<CompiledRule>& rules,
       out.rules.push_back(std::move(rir));
       ++out.report.rules_lowered;
     } else {
-      out.report.rejections.push_back({rule.rule_index,
+      out.report.rejections.push_back({rule.number,
                                        catalog.DisplayName(rule.head_pred),
                                        std::move(reason)});
     }

@@ -125,7 +125,7 @@ struct RuleIR {
 /// RunReport; asserted non-vacuous by the differential fleet).
 struct LoweringReport {
   struct Rejection {
-    uint32_t rule_index = 0;
+    uint32_t rule_index = 0;  // CompiledRule::number
     std::string head;    // "pred/arity"
     std::string reason;
   };

@@ -148,6 +148,7 @@ class RuleCompiler {
         planner_(planner),
         head_params_bound_(head_params_bound) {
     out_.rule_index = rule_index;
+    out_.number = program.RuleNumber(rule_index);
   }
 
   Result<CompiledRule> Compile() {
@@ -195,9 +196,11 @@ class RuleCompiler {
     std::vector<std::string> head_vars;
     for (const TermNode& t : rule_.head.args) CollectVariables(t, &head_vars);
     for (const std::string& v : head_vars) {
-      if (!IsBoundAnywhere(v)) {
-        return Error("head variable " + v + " is never bound in the body");
+      if (IsBoundAnywhere(v)) continue;
+      if (rule_.body.empty()) {
+        return Status::InvalidArgument("fact contains variable " + v);
       }
+      return Error("head variable " + v + " is never bound in the body");
     }
     for (const TermNode& t : rule_.head.args) {
       out_.head_terms.push_back(CompileTerm(t));
@@ -1035,7 +1038,6 @@ Result<std::vector<CompiledRule>> CompileProgram(
   }
   int gamma_counter = 0;
   for (uint32_t ri = 0; ri < program.rules.size(); ++ri) {
-    if (program.rules[ri].is_fact()) continue;  // loaded directly
     const bool head_bound =
         options.head_params_bound &&
         options.head_params_bound(program.rules[ri].head.predicate);

@@ -120,6 +120,9 @@ struct ChoiceSpec {
 
 struct CompiledRule {
   uint32_t rule_index = 0;        // position in the analyzed Program
+  // Source statement number (Program::RuleNumber): the number reports,
+  // plans, metric labels and provenance show for the rule.
+  uint32_t number = 0;
   PredicateId head_pred = kNoPredicate;
   std::vector<uint32_t> head_terms;
   uint32_t head_arity = 0;

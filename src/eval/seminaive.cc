@@ -312,7 +312,7 @@ size_t PlanExecutor::ApplyRuleVm(const CompiledRule& rule,
       ++inserted;
       ++stats_.inserts;
       if (trail_ != nullptr) {
-        head_rel.Annotate(res.row, rule.rule_index, pending_prov[i].data(),
+        head_rel.Annotate(res.row, rule.number, pending_prov[i].data(),
                           pending_prov[i].size());
       }
     }
@@ -361,7 +361,7 @@ size_t PlanExecutor::ApplyRule(const CompiledRule& rule,
       ++inserted;
       ++stats_.inserts;
       if (trail_ != nullptr) {
-        head_rel.Annotate(res.row, rule.rule_index, pending_prov[i].data(),
+        head_rel.Annotate(res.row, rule.number, pending_prov[i].data(),
                           pending_prov[i].size());
       }
     }

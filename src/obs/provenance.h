@@ -34,8 +34,9 @@ struct ProofNode {
   PredicateId pred = kNoPredicate;
   RowId row = kNoRow;
   std::string atom;  // rendered "pred(v1, ...)"
-  // Relation::kEdbRule for asserted facts, Relation::kUnknownRule when
-  // the row predates provenance or was derived by an unannotated path.
+  // The deriving rule's number (CompiledRule::number); Relation::kEdbRule
+  // for asserted facts, Relation::kUnknownRule when the row predates
+  // provenance or was derived by an unannotated path.
   uint32_t rule_index = Relation::kUnknownRule;
   std::string rule;       // rendered rule text (empty for facts)
   bool truncated = false;  // premises elided by the depth bound
@@ -43,8 +44,8 @@ struct ProofNode {
 };
 
 /// Reconstructs the proof of `pred`'s row `row` from the provenance
-/// column. `rule_text[i]` renders program rule i (missing/empty entries
-/// degrade to "rule #i"). `max_depth` bounds the tree depth (the root is
+/// column. `rule_text[n]` renders the program rule numbered n
+/// (missing/empty entries degrade to "rule #n"). `max_depth` bounds the tree depth (the root is
 /// depth 0); nodes at the bound with premises are marked truncated.
 ProofNode BuildProofTree(const Catalog& catalog, const ValueStore& store,
                          PredicateId pred, RowId row,
@@ -63,7 +64,7 @@ std::string ProofTreeDot(const ProofNode& root);
 /// candidates whose cost equals the winner's (0 for FIFO rules, where
 /// cost carries no information).
 struct ChoiceAuditEntry {
-  uint32_t rule_index = 0;
+  uint32_t rule_index = 0;  // CompiledRule::number
   int gamma_index = -1;
   uint64_t firing = 0;   // 1-based global γ firing ordinal
   int64_t stage = -1;    // stage assigned (next rules only)

@@ -20,7 +20,9 @@
 //                                                      grouping if exactly 1)
 //             | "-" primary
 //
-// Anonymous variables `_` are renamed apart per occurrence.
+// Anonymous variables `_` are renamed apart per occurrence. A ground
+// atom with no body is a fact: it lands in Program::facts as Values,
+// never as a Rule.
 #ifndef GDLOG_PARSER_PARSER_H_
 #define GDLOG_PARSER_PARSER_H_
 
@@ -31,7 +33,8 @@
 
 namespace gdlog {
 
-/// Parses a full program. Constants are interned into `store`.
+/// Parses a full program. Constants (and the terms of ground facts) are
+/// interned into `store`. Rules are numbered by source statement.
 Result<Program> ParseProgram(ValueStore* store, std::string_view source);
 
 /// Parses a single rule (convenience for tests).

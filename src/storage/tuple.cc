@@ -1,18 +1,20 @@
 #include "storage/tuple.h"
 
-#include <sstream>
-
 namespace gdlog {
 
 std::string TupleToString(const ValueStore& store, TupleView t) {
-  std::ostringstream out;
-  out << "(";
+  std::string out;
+  AppendTuple(store, t, &out);
+  return out;
+}
+
+void AppendTuple(const ValueStore& store, TupleView t, std::string* out) {
+  out->push_back('(');
   for (size_t i = 0; i < t.size(); ++i) {
-    if (i) out << ", ";
-    out << store.ToString(t[i]);
+    if (i) out->append(", ");
+    store.AppendTo(t[i], out);
   }
-  out << ")";
-  return out.str();
+  out->push_back(')');
 }
 
 }  // namespace gdlog

@@ -32,6 +32,8 @@ inline bool TupleEquals(TupleView a, TupleView b) {
 
 /// Renders a row as "(v1, v2, ...)" for debugging and golden tests.
 std::string TupleToString(const ValueStore& store, TupleView t);
+/// Appends TupleToString(store, t) to `out`.
+void AppendTuple(const ValueStore& store, TupleView t, std::string* out);
 
 }  // namespace gdlog
 

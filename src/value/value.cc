@@ -1,7 +1,7 @@
 #include "value/value.h"
 
 #include <memory>
-#include <sstream>
+#include <charconv>
 
 #include "value/symbol_table.h"
 #include "value/term_table.h"
@@ -108,29 +108,40 @@ int ValueStore::Compare(Value a, Value b) const {
 }
 
 std::string ValueStore::ToString(Value v) const {
+  std::string out;
+  AppendTo(v, &out);
+  return out;
+}
+
+void ValueStore::AppendTo(Value v, std::string* out) const {
   switch (v.kind()) {
     case ValueKind::kNil:
-      return "nil";
-    case ValueKind::kInt:
-      return std::to_string(v.AsInt());
+      out->append("nil");
+      return;
+    case ValueKind::kInt: {
+      char buf[24];
+      const auto res = std::to_chars(buf, buf + sizeof(buf), v.AsInt());
+      out->append(buf, res.ptr);
+      return;
+    }
     case ValueKind::kSymbol:
-      return std::string(SymbolName(v.AsSymbolId()));
+      out->append(SymbolName(v.AsSymbolId()));
+      return;
     case ValueKind::kTerm: {
       const TermId id = v.AsTermId();
-      std::ostringstream out;
-      const bool tuple = terms_->Functor(id) == tuple_functor_;
-      if (!tuple) out << SymbolName(terms_->Functor(id));
-      out << "(";
+      const SymbolId functor = terms_->Functor(id);
+      if (functor != tuple_functor_) out->append(SymbolName(functor));
+      out->push_back('(');
       auto args = terms_->Args(id);
       for (size_t i = 0; i < args.size(); ++i) {
-        if (i) out << ",";
-        out << ToString(args[i]);
+        if (i) out->push_back(',');
+        AppendTo(args[i], out);
       }
-      out << ")";
-      return out.str();
+      out->push_back(')');
+      return;
     }
   }
-  return "?";
+  out->push_back('?');
 }
 
 size_t ValueStore::num_symbols() const { return symbols_->size(); }

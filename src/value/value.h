@@ -148,6 +148,8 @@ class ValueStore {
   bool Less(Value a, Value b) const { return Compare(a, b) < 0; }
 
   std::string ToString(Value v) const;
+  /// Appends ToString(v) to `out` (no temporaries: the output hot path).
+  void AppendTo(Value v, std::string* out) const;
 
   size_t num_symbols() const;
   size_t num_terms() const;

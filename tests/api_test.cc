@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/diagnostics.h"
 #include "obs/json.h"
+#include "storage/tuple.h"
 
 namespace gdlog {
 namespace {
@@ -92,6 +94,76 @@ TEST(Api, FactsViaTextAndApiAgree) {
   ASSERT_TRUE(e.AddFact("q", {Value::Int(8)}).ok());
   ASSERT_TRUE(e.Run().ok());
   EXPECT_EQ(e.Query("r", 1).size(), 2u);
+}
+
+TEST(Api, NonGroundFactFailsLintAndRun) {
+  // A body-less atom with a variable is not a ground fact: it stays a
+  // rule, lint flags it, and Run refuses it.
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram("p(X).\nq(Y) <- p(Y).").ok());
+  auto lint = e.Lint();
+  ASSERT_TRUE(lint.ok());
+  bool flagged = false;
+  for (const Diagnostic& d : lint->diagnostics) {
+    if (d.code == diag::kUnsafeHeadVar &&
+        d.message.find("makes the fact non-ground") != std::string::npos) {
+      flagged = true;
+      EXPECT_EQ(d.rule_index, 0);
+    }
+  }
+  EXPECT_TRUE(flagged);
+  const Status st = e.Run();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("fact contains variable X"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(Api, InlineFactsLoadLikeAddFact) {
+  // Each argument form a fact can take: a constructed term, a tuple, a
+  // string, nil, a negative int, and an operator — which in a fact
+  // builds the term +(1,2) rather than evaluating to 3.
+  Engine text;
+  ASSERT_TRUE(text.LoadProgram(
+                      "f(t(1, a), (1, 2), \"s t\", nil, -3, 1 + 2).\n"
+                      "g(X) <- f(X, _, _, _, _, _).")
+                  .ok());
+  ASSERT_TRUE(text.Run().ok());
+
+  Engine api;
+  ASSERT_TRUE(api.LoadProgram("g(X) <- f(X, _, _, _, _, _).").ok());
+  ValueStore& st = api.store();
+  const Value t_args[] = {Value::Int(1), st.MakeSymbol("a")};
+  const Value pair[] = {Value::Int(1), Value::Int(2)};
+  ASSERT_TRUE(api.AddFact("f", {st.MakeTerm("t", t_args), st.MakeTuple(pair),
+                                st.MakeSymbol("s t"), Value::Nil(),
+                                Value::Int(-3), st.MakeTerm("+", pair)})
+                  .ok());
+  ASSERT_TRUE(api.Run().ok());
+
+  auto render = [](const Engine& e, const char* pred, uint32_t arity) {
+    std::vector<std::string> rows;
+    for (const auto& row : e.Query(pred, arity)) {
+      rows.push_back(TupleToString(e.store(), TupleView(row)));
+    }
+    return rows;
+  };
+  EXPECT_EQ(render(text, "f", 6), render(api, "f", 6));
+  EXPECT_EQ(render(text, "g", 1), render(api, "g", 1));
+  ASSERT_EQ(render(text, "f", 6).size(), 1u);
+  EXPECT_EQ(render(text, "f", 6)[0], "(t(1,a), (1,2), s t, nil, -3, +(1,2))");
+}
+
+TEST(Api, DuplicateInlineFactsDedup) {
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram("p(1). p(2). p(1).\nq(X) <- p(X).").ok());
+  ASSERT_TRUE(e.AddFact("p", {Value::Int(2)}).ok());
+  ASSERT_TRUE(e.Run().ok());
+  const auto rows = e.Query("p", 1);
+  ASSERT_EQ(rows.size(), 2u);
+  // AddFact rows come first, then the program's facts in source order.
+  EXPECT_EQ(rows[0][0].AsInt(), 2);
+  EXPECT_EQ(rows[1][0].AsInt(), 1);
+  EXPECT_EQ(e.Query("q", 1).size(), 2u);
 }
 
 TEST(Api, SymbolAndNilValues) {

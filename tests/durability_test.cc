@@ -600,6 +600,57 @@ TEST(EngineDurability, RecoversEdbAndRederivesTheFixpoint) {
   RemoveTree(dir);
 }
 
+std::string FixturePath(const std::string& name) {
+  return std::string(GDLOG_SOURCE_DIR) + "/tests/fixtures/" + name;
+}
+
+/// Lint diagnostics (rule numbers included, via the JSON form) and the
+/// plan disassembly after Run, for one way of loading `text`.
+struct LoadedView {
+  std::string lint_json;
+  std::string plan;
+};
+
+LoadedView ViewOf(const std::string& text, const std::string& db_dir) {
+  LoadedView view;
+  Engine e{db_dir.empty() ? EngineOptions{} : Durable(db_dir)};
+  const Status load =
+      db_dir.empty() ? e.LoadProgram(text) : e.LoadProgramDurable(text);
+  EXPECT_TRUE(load.ok()) << load.ToString();
+  auto lint = e.Lint();
+  EXPECT_TRUE(lint.ok()) << lint.status().ToString();
+  if (lint.ok()) view.lint_json = DiagnosticsJson(lint->diagnostics, "p");
+  EXPECT_TRUE(e.Run().ok());
+  auto plan = e.PlanDump();
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (plan.ok()) view.plan = *plan;
+  return view;
+}
+
+TEST(EngineDurability, DurableLoadNumbersRulesLikeLoadProgram) {
+  // Both programs put facts before their rules, so a durable load that
+  // dropped facts from the rule numbering would shift every number.
+  for (const std::string& path :
+       {ProgramPath("prim.dl"), FixturePath("gd310_dead_choice.dl")}) {
+    SCOPED_TRACE(path);
+    const std::string text = ReadFileOrDie(path);
+    const std::string dir = TempDbDir("numbering");
+    const LoadedView mem = ViewOf(text, "");
+    const LoadedView durable = ViewOf(text, dir);
+    EXPECT_EQ(durable.lint_json, mem.lint_json);
+    EXPECT_EQ(durable.plan, mem.plan);
+    RemoveTree(dir);
+  }
+  // Pin that the view is not vacuous: GD310/GD311 name rule 2, the
+  // statement after the two e/2 facts.
+  const LoadedView fixture =
+      ViewOf(ReadFileOrDie(FixturePath("gd310_dead_choice.dl")), "");
+  EXPECT_NE(fixture.lint_json.find("\"rule\":2"), std::string::npos)
+      << fixture.lint_json;
+  EXPECT_NE(fixture.plan.find("rule 2: pick/2"), std::string::npos)
+      << fixture.plan;
+}
+
 TEST(EngineDurability, RetractFactIsDurable) {
   const std::string dir = TempDbDir("engine-retract");
   {

@@ -113,8 +113,7 @@ std::unique_ptr<Compiled> CompileWithPlanner(
   return c;
 }
 
-/// The compiled rule whose head is `head` ("pred/arity"). Fact rules are
-/// loaded directly, so compiled indices do not track program positions.
+/// The compiled rule whose head is `head` ("pred/arity").
 const CompiledRule& RuleFor(const Compiled& c, const std::string& head) {
   for (const CompiledRule& r : c.rules) {
     if (c.catalog.DisplayName(r.head_pred) == head) return r;

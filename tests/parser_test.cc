@@ -10,11 +10,28 @@
 namespace gdlog {
 namespace {
 
+struct LexedToken {
+  TokenKind kind;
+  std::string text;
+};
+
+/// Lexes all of `source`, through the final kEof, into owned tokens.
+Result<std::vector<LexedToken>> Tokenize(std::string_view source) {
+  Lexer lexer(source);
+  std::vector<LexedToken> out;
+  for (;;) {
+    Token t;
+    GDLOG_RETURN_IF_ERROR(lexer.Next(&t));
+    out.push_back({t.kind, std::string(t.text)});
+    if (t.kind == TokenKind::kEof) return out;
+  }
+}
+
 TEST(Lexer, BasicTokens) {
   auto toks = Tokenize("p(X, 42) <- q(X), X != a.");
   ASSERT_TRUE(toks.ok());
   std::vector<TokenKind> kinds;
-  for (const Token& t : *toks) kinds.push_back(t.kind);
+  for (const LexedToken& t : *toks) kinds.push_back(t.kind);
   EXPECT_EQ(kinds.front(), TokenKind::kIdent);
   EXPECT_EQ(kinds.back(), TokenKind::kEof);
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), TokenKind::kArrow),
@@ -44,7 +61,7 @@ TEST(Lexer, CommentsSkipped) {
   )");
   ASSERT_TRUE(toks.ok());
   int idents = 0;
-  for (const Token& t : *toks) {
+  for (const LexedToken& t : *toks) {
     if (t.kind == TokenKind::kIdent) ++idents;
   }
   EXPECT_EQ(idents, 2);
@@ -60,7 +77,7 @@ TEST(Lexer, StringLiterals) {
   auto toks = Tokenize(R"(name("hello \"world\"").)");
   ASSERT_TRUE(toks.ok());
   bool found = false;
-  for (const Token& t : *toks) {
+  for (const LexedToken& t : *toks) {
     if (t.kind == TokenKind::kString) {
       EXPECT_EQ(t.text, "hello \"world\"");
       found = true;
@@ -77,9 +94,15 @@ TEST(Parser, FactAndRule) {
     path(X, Z) <- path(X, Y), edge(Y, Z).
   )");
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-  ASSERT_EQ(prog->rules.size(), 3u);
-  EXPECT_TRUE(prog->rules[0].is_fact());
-  EXPECT_FALSE(prog->rules[1].is_fact());
+  // The fact goes to its predicate's block, not into the rule list; the
+  // rules keep their statement numbers.
+  ASSERT_EQ(prog->facts.size(), 1u);
+  EXPECT_EQ(prog->facts[0].predicate, "edge");
+  EXPECT_EQ(prog->facts[0].rows, 1u);
+  ASSERT_EQ(prog->rules.size(), 2u);
+  EXPECT_FALSE(prog->rules[0].body.empty());
+  EXPECT_EQ(prog->rules[0].number, 1u);
+  EXPECT_EQ(prog->rules[1].number, 2u);
 }
 
 TEST(Parser, MetaGoals) {
@@ -165,7 +188,77 @@ TEST(Parser, NegativeNumbers) {
   ValueStore store;
   auto prog = ParseProgram(&store, "p(-5).");
   ASSERT_TRUE(prog.ok());
-  EXPECT_EQ(prog->rules[0].head.args[0].constant.AsInt(), -5);
+  ASSERT_EQ(prog->facts.size(), 1u);
+  EXPECT_EQ(prog->facts[0].values[0].AsInt(), -5);
+}
+
+TEST(Parser, GroundFactsFillPerPredicateBlocks) {
+  ValueStore store;
+  auto prog = ParseProgram(&store, R"(
+    p(1). q(a).
+    r(X) <- p(X), q(X).
+    p(2). go.
+  )");
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  ASSERT_EQ(prog->facts.size(), 3u);  // p/1, q/1, go/0: first appearance
+  const FactBlock& p = prog->facts[0];
+  EXPECT_EQ(p.predicate, "p");
+  EXPECT_EQ(p.rows, 2u);
+  ASSERT_EQ(p.values.size(), 2u);
+  EXPECT_EQ(p.values[0].AsInt(), 1);
+  EXPECT_EQ(p.values[1].AsInt(), 2);
+  EXPECT_EQ(p.first_statement, 0u);
+  EXPECT_EQ(p.loc.line, 2);
+  EXPECT_EQ(prog->facts[1].first_statement, 1u);
+  EXPECT_EQ(prog->facts[2].predicate, "go");
+  EXPECT_EQ(prog->facts[2].arity, 0u);
+  EXPECT_EQ(prog->facts[2].rows, 1u);
+  ASSERT_EQ(prog->rules.size(), 1u);
+  EXPECT_EQ(prog->rules[0].number, 2u);
+}
+
+TEST(Parser, NonGroundFactStaysARule) {
+  ValueStore store;
+  auto prog = ParseProgram(&store, "p(X, 1).");
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  EXPECT_TRUE(prog->facts.empty());
+  ASSERT_EQ(prog->rules.size(), 1u);
+  EXPECT_TRUE(prog->rules[0].body.empty());
+}
+
+/// `good` ground facts, one per line, then `bad` on the next line.
+std::string FactsThen(int good, const std::string& bad) {
+  std::string text;
+  for (int i = 0; i < good; ++i) {
+    text += "g(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  return text + bad + "\n";
+}
+
+TEST(Parser, ErrorInDeepFactKeepsLineAndColumn) {
+  ValueStore store;
+  auto parse = ParseProgram(&store, FactsThen(29'999, "g(1, 2 3)."));
+  ASSERT_FALSE(parse.ok());
+  EXPECT_EQ(parse.status().message(),
+            "expected ')' to close argument list at line 30000, column 8 "
+            "(found integer)");
+  auto lex = ParseProgram(&store, FactsThen(29'999, "g(1, @)."));
+  ASSERT_FALSE(lex.ok());
+  // The lexer reports the column just past the offending character.
+  EXPECT_EQ(lex.status().message(),
+            "unexpected character '@' at line 30000, column 7");
+}
+
+TEST(Parser, LexerErrorOutranksEarlierParseError) {
+  // The lexer error comes later in the text but is still the one
+  // reported, as when the whole text was lexed before parsing.
+  ValueStore store;
+  auto prog = ParseProgram(&store, "p(1 2).\nq(\"open");
+  ASSERT_FALSE(prog.ok());
+  EXPECT_EQ(prog.status().code(), StatusCode::kParseError);
+  EXPECT_NE(prog.status().message().find("unterminated string literal"),
+            std::string::npos)
+      << prog.status().message();
 }
 
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};
@@ -200,7 +293,11 @@ INSTANTIATE_TEST_SUITE_P(
         "matching(X, Y, C, I) <- next(I), g(X, Y, C), least(C, I), "
         "choice(Y, X), choice(X, Y).",
         // Arithmetic and comparisons.
-        "p(X, Y) <- q(X), Y = X * 3 + 1, Y >= 10, Y != 12."));
+        "p(X, Y) <- q(X), Y = X * 3 + 1, Y >= 10, Y != 12.",
+        // Facts of every argument form, printed from their blocks.
+        "f(t(1, a), (1, 2), \"s\", nil, -3, 1 + 2, 2 * (3 - 4), ()).\n"
+        "go.\nf(u, (), x, nil, 0, -(a), 7 mod 2, t).\n"
+        "g(X) <- f(X, _, _, _, _, _, _, _), go."));
 
 }  // namespace
 }  // namespace gdlog

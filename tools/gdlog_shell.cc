@@ -240,11 +240,12 @@ void PrintRelation(const gdlog::Engine& engine, const std::string& pred,
   std::printf("%% %s/%u (%zu facts)\n", pred.c_str(), arity,
               rel ? rel->size() : 0);
   if (!rel) return;
-  for (const auto& row : engine.Query(pred, arity)) {
-    std::printf("%s%s.\n", pred.c_str(),
-                gdlog::TupleToString(engine.store(),
-                                     gdlog::TupleView(row))
-                    .c_str());
+  std::string line;
+  for (gdlog::RowId row = 0; row < rel->size(); ++row) {
+    line.assign(pred);
+    gdlog::AppendTuple(engine.store(), rel->Row(row), &line);
+    line += ".\n";
+    std::fwrite(line.data(), 1, line.size(), stdout);
   }
 }
 
@@ -273,10 +274,10 @@ void PrintStats(const gdlog::Engine& engine) {
   }
   const gdlog::EnginePhaseTimes& ph = engine.phase_times();
   std::printf(
-      "%% phases (ms): parse %.3f  analyze %.3f  absint %.3f  compile %.3f  "
-      "eval %.3f\n",
-      ph.parse_ns / 1e6, ph.analyze_ns / 1e6, ph.absint_ns / 1e6,
-      ph.compile_ns / 1e6, ph.eval_ns / 1e6);
+      "%% phases (ms): parse %.3f  analyze %.3f  facts %.3f  absint %.3f  "
+      "compile %.3f  eval %.3f\n",
+      ph.parse_ns / 1e6, ph.analyze_ns / 1e6, ph.facts_ns / 1e6,
+      ph.absint_ns / 1e6, ph.compile_ns / 1e6, ph.eval_ns / 1e6);
   if (s->saturate_ns > 0 || s->gamma_ns > 0) {
     std::printf("%%   eval split: saturate %.3f ms, gamma %.3f ms\n",
                 s->saturate_ns / 1e6, s->gamma_ns / 1e6);
@@ -305,11 +306,10 @@ void PrintStats(const gdlog::Engine& engine) {
   std::printf("%% %-4s %-18s %-9s %10s %9s %9s %9s %9s %10s %9s %9s\n",
               "rule", "head", "kind", "invoc", "firings", "tuples", "dedup",
               "cands", "wall_ms", "p50_us", "p99_us");
-  for (size_t i = 0; i < profiles->size(); ++i) {
-    const gdlog::RuleProfile& p = (*profiles)[i];
+  for (const gdlog::RuleProfile& p : *profiles) {
     if (p.head.empty()) continue;
     std::printf(
-        "%% %-4zu %-18s %-9s %10llu %9llu %9llu %9llu %9llu %10.3f", i,
+        "%% %-4u %-18s %-9s %10llu %9llu %9llu %9llu %9llu %10.3f", p.rule,
         p.head.c_str(), p.kind,
         static_cast<unsigned long long>(p.invocations),
         static_cast<unsigned long long>(p.firings),
@@ -974,10 +974,8 @@ int main(int argc, char** argv) {
     // Default: every predicate that appears in a rule head.
     std::set<std::pair<std::string, uint32_t>> heads;
     for (const gdlog::Rule& r : engine.program()->rules) {
-      if (!r.is_fact()) {
-        heads.insert({r.head.predicate,
-                      static_cast<uint32_t>(r.head.args.size())});
-      }
+      heads.insert(
+          {r.head.predicate, static_cast<uint32_t>(r.head.args.size())});
     }
     for (const auto& [pred, arity] : heads) {
       PrintRelation(engine, pred, arity);
