@@ -88,8 +88,9 @@ class FaultInjector;
 /// Shared counter of engine-tracked allocations (value-store arenas,
 /// relation rows, hash sets, indices). Trackers keep a per-container
 /// charged figure and call Update with the current approximation; the
-/// budget maintains the total and its high-water mark. Reads may come
-/// from other threads (reports), hence the relaxed atomics.
+/// budget maintains the total and its high-water mark. Reads come from
+/// other threads while the run charges (the HTTP /statusz handler reads
+/// used() mid-run), hence the relaxed atomics.
 class MemoryBudget {
  public:
   /// Adjusts the total by (now_bytes - *charged) and stores now_bytes
@@ -152,10 +153,11 @@ class FaultInjector {
   const std::string& spec() const { return spec_; }
 
  private:
-  // Hit counters are atomic: the alloc probe fires from MemoryBudget
-  // charges, which parallel evaluation issues on worker threads. The
-  // copy constructor exists only so Parse can return by value and the
-  // engine can store the injector — never copy one that is being hit.
+  // Hit counters are relaxed atomics, so a probe hit on the evaluating
+  // thread (the alloc probe fires from MemoryBudget charges) never races
+  // a hits() read from another thread. The copy constructor exists only
+  // so Parse can return by value and the engine can store the injector —
+  // never copy one that is being hit.
   struct Probe {
     std::string name;
     uint64_t trigger = 0;  // 0 = not armed; N = fire on the Nth hit
@@ -216,11 +218,9 @@ class RunGuard {
   TerminationReason reason() const { return reason_; }
   uint64_t checks() const { return checks_; }
   const RunLimits& limits() const { return limits_; }
-  /// Non-const: worker threads charge their output buffers to the budget
-  /// (MemoryBudget::Update is atomic).
+  /// Non-const: the evaluator charges its own structures (the VM
+  /// program, the choice-audit trail) to the budget.
   MemoryBudget* budget() const { return budget_; }
-  /// The run's cancel token (may be null); polled inside worker scans.
-  const CancelToken* cancel() const { return cancel_; }
   FaultInjector* injector() const { return injector_; }
 
  private:

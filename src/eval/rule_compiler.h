@@ -138,6 +138,14 @@ struct CompiledRule {
   // smallest input, so it drives), remaining goals greedily reordered.
   std::vector<std::vector<CompiledLiteral>> delta_plans;
 
+  /// The plan one application runs: delta_plans[d] for a seminaive delta
+  /// variant, the generator for kNoOccurrence (or a rule without one).
+  const std::vector<CompiledLiteral>& PlanFor(uint32_t delta_occurrence) const {
+    return delta_occurrence < delta_plans.size()
+               ? delta_plans[delta_occurrence]
+               : generator;
+  }
+
   // Slots bound by the generator, in binding order.
   std::vector<uint32_t> generator_bound_slots;
   // The live subset of generator_bound_slots (variables the head, post

@@ -1,6 +1,5 @@
 #include "eval/seminaive.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -34,13 +33,6 @@ Window WindowFor(const CompiledScan& scan, const Relation& rel,
 }
 
 }  // namespace
-
-std::pair<RowId, RowId> PlanExecutor::ScanWindow(const CompiledScan& scan,
-                                                 const Relation& rel,
-                                                 uint32_t delta_occurrence) {
-  const Window w = WindowFor(scan, rel, delta_occurrence);
-  return {w.begin, w.end};
-}
 
 bool PlanExecutor::RunCompare(const CompiledRule& rule,
                               const CompiledCompare& cmp,
@@ -93,11 +85,7 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
     return on_match();  // absent: negation holds, continue (no bindings)
   }
 
-  Window window = WindowFor(scan, rel, delta_occurrence);
-  if (&scan == range_scan_) {
-    window.begin = std::max(window.begin, range_begin_);
-    window.end = std::min(window.end, range_end_);
-  }
+  const Window window = WindowFor(scan, rel, delta_occurrence);
 
   GoalStats* gs = nullptr;
   if (goal_stats_ != nullptr && !scan.negated &&
@@ -111,10 +99,6 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
 
   auto try_row = [&](RowId row) -> int {
     // Returns -1 mismatch, 0 matched-and-continue, 1 aborted.
-    if (cancel_ != nullptr && (++cancel_tick_ & 4095u) == 0 &&
-        cancel_->cancelled()) {
-      return 1;
-    }
     ++stats_.scan_rows;
     if (gs != nullptr) ++gs->rows;
     const size_t mark = frame->Mark();
@@ -248,13 +232,8 @@ vm::ExecCtx PlanExecutor::VmCtx() {
   ctx.catalog = catalog_;
   ctx.store = store_;
   ctx.stats = &stats_;
-  ctx.cancel = cancel_;
-  ctx.cancel_tick = &cancel_tick_;
   ctx.goal_stats = goal_stats_;
   ctx.trail = trail_;
-  ctx.range_scan = range_scan_;
-  ctx.range_begin = range_begin_;
-  ctx.range_end = range_end_;
   return ctx;
 }
 
@@ -331,11 +310,7 @@ size_t PlanExecutor::ApplyRule(const CompiledRule& rule,
   std::vector<std::vector<ProvPremise>> pending_prov;
   BindingFrame frame(rule.num_slots);
   // Delta variants run their delta-first plan (the Δ atom leads).
-  const std::vector<CompiledLiteral>& plan =
-      (delta_occurrence == CompiledScan::kNoOccurrence ||
-       delta_occurrence >= rule.delta_plans.size())
-          ? rule.generator
-          : rule.delta_plans[delta_occurrence];
+  const std::vector<CompiledLiteral>& plan = rule.PlanFor(delta_occurrence);
   if (vm_ != nullptr && oracle_ == nullptr) {
     const vm::PlanCode* code = vm_->Find(&plan);
     const vm::RuleCode* rcode = vm_->FindRule(&rule);

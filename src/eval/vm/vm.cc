@@ -135,11 +135,7 @@ class Runner {
         const PlanCode::Level& level = code.levels[i];
         if (level.kind != CompiledLiteral::Kind::kScan) continue;
         LevelRt& rt = rt_[i];
-        Window w = WindowOf(*level.scan, *level.rel, delta_);
-        if (level.scan == ctx.range_scan) {
-          w.begin = std::max(w.begin, ctx.range_begin);
-          w.end = std::min(w.end, ctx.range_end);
-        }
+        const Window w = WindowOf(*level.scan, *level.rel, delta_);
         rt.begin = w.begin;
         rt.end = w.end;
         rt.gs = nullptr;
@@ -279,10 +275,6 @@ class Runner {
       if (gs != nullptr) ++gs->probes;
     } else {
       window = WindowOf(scan, *level.rel, delta_);
-      if (&scan == ctx_.range_scan) {
-        window.begin = std::max(window.begin, ctx_.range_begin);
-        window.end = std::min(window.end, ctx_.range_end);
-      }
       if (level.track_goal && ctx_.goal_stats != nullptr &&
           code_.rule->rule_index < ctx_.goal_stats->size() &&
           scan.goal_id < (*ctx_.goal_stats)[code_.rule->rule_index].size()) {
@@ -292,8 +284,8 @@ class Runner {
     }
     uint64_t probe_matches = 0;
     // Rows and matches accumulate in locals and flush once per scan:
-    // nothing reads the counters mid-scan (reports, EXPLAIN ANALYZE and
-    // the worker capture all read them between rule applications), so
+    // nothing reads the counters mid-scan (reports and EXPLAIN ANALYZE
+    // read them between rule applications), so
     // the flushed totals are bit-identical to per-row increments.
     uint64_t rows_seen = 0;
 
@@ -396,10 +388,6 @@ class Runner {
   /// so the mark/undo pair exists only on levels that have one.
   int TryRow(const PlanCode::Level& level, size_t idx, RowId row,
              GoalStats* gs, uint64_t* probe_matches) {
-    if (ctx_.cancel != nullptr && (++*ctx_.cancel_tick & 4095u) == 0 &&
-        ctx_.cancel->cancelled()) {
-      return 1;
-    }
     const size_t mark = level.has_match ? frame_->Mark() : 0;
     const TupleView tuple = level.rel->Row(row);
     if (!level.generic) {
@@ -669,7 +657,7 @@ void ExecuteEmit(const PlanCode& code, const RuleCode& rcode,
   if (code.pure_slots && rcode.head_pure) {
     Runner<EmitSink, /*kPure=*/true> r(code, delta_occurrence, frame, ctx,
                                        keys.data(), ctx.trail, &sink);
-    r.Run();  // an abort keeps rows emitted so far, like the interpreter
+    r.Run();
   } else {
     Runner<EmitSink> r(code, delta_occurrence, frame, ctx, keys.data(),
                        ctx.trail, &sink);

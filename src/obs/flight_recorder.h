@@ -3,11 +3,13 @@
 //
 // Record() is O(1), lock-free, allocation-free, and noexcept: one
 // fetch_add claims a slot, then four relaxed stores fill it. That makes
-// it safe to call from worker threads and from async-signal context
-// (Engine::RequestCancel records the cancellation from a SIGINT
-// handler). The ring keeps the last `capacity` events; a dump renders
-// them in sequence order with per-event decoding (the event taxonomy is
-// documented in docs/OBSERVABILITY.md).
+// it safe to call from another thread and from async-signal context
+// (Engine::RequestCancel records the cancellation from a SIGINT handler
+// or from whichever thread cancels the run), and lets an HTTP scrape
+// dump the ring while the evaluator is still recording. The ring keeps
+// the last `capacity` events; a dump renders them in sequence order with
+// per-event decoding (the event taxonomy is documented in
+// docs/OBSERVABILITY.md).
 //
 // Slightly racy by design: a reader may observe a slot mid-overwrite
 // when the writer laps it. Dumps tolerate that (the sequence number is
@@ -28,14 +30,12 @@ namespace gdlog {
 enum class FlightEventKind : uint8_t {
   kNone = 0,
   kRunStart,         // a0 = rule count,   a1 = relation count
-  kRoundStart,       // a0 = round number, a1 = applications scheduled
-  kRoundEnd,         // a0 = round number, a1 = tuples inserted so far
+  kRoundStart,       // a0 = round number, a1 = delta rows
+  kRoundEnd,         // a0 = round number, a1 = tuples inserted in the round
   kGuardCheck,       // a0 = checks so far, a1 = derived tuples so far
   kGuardTrip,        // a0 = TerminationReason, a1 = checks so far
   kPlanDecision,     // a0 = rule index,   a1 = goals in plan
   kFaultInjected,    // a0 = probe ordinal (FaultInjector::ProbeCatalog)
-  kBatchStart,       // a0 = batch size (apps), a1 = worker tasks
-  kBatchEnd,         // a0 = batch size (apps), a1 = worker tasks
   kCancelRequested,  // from Engine::RequestCancel (signal-safe path)
   kGammaFire,        // a0 = rule index,   a1 = stage counter (-1: none)
   kStageAdvance,     // a0 = rule index,   a1 = new stage counter
