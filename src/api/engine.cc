@@ -62,13 +62,9 @@ Engine::Engine(EngineOptions options)
   // stores can never trip the "alloc" probe.
   store_->set_memory_budget(&budget_);
   catalog_->set_memory_budget(&budget_);
-  // Provenance: either flag (top-level or eval-level) turns on both the
-  // storage side-column and the driver's trail/audit.
-  if (options_.provenance || options_.eval.provenance) {
-    options_.provenance = true;
-    options_.eval.provenance = true;
-    catalog_->EnableProvenance();
-  }
+  // Provenance: the storage side-column; the driver turns on its trail
+  // and audit from it.
+  if (options_.provenance) catalog_->EnableProvenance();
   // Fault injection: explicit option first, GDLOG_FAULTS env fallback. A
   // malformed spec is remembered and surfaced by LoadProgram/Run rather
   // than aborting construction.
@@ -772,7 +768,7 @@ Result<std::string> Engine::RunReport() const {
   w.Key("static_analysis").Bool(options_.static_analysis);
   w.Key("backend").String(
       options_.eval.backend == EvalBackend::kVm ? "vm" : "interp");
-  w.Key("provenance").Bool(options_.eval.provenance);
+  w.Key("provenance").Bool(options_.provenance);
   w.Key("obs_enabled").Bool(options_.obs.enabled);
   w.Key("obs_sample_every").UInt(options_.obs.sample_every);
   w.Key("metrics_enabled").Bool(metrics_ != nullptr);

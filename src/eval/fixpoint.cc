@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstdio>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -100,7 +98,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     admissible_ = obs_.metrics->GetCounter("choice.admissible");
     inadmissible_ = obs_.metrics->GetCounter("choice.inadmissible");
   }
-  if (options_.provenance) {
+  if (catalog_->provenance_enabled()) {
     prov_ = true;
     exec_.set_provenance_trail(&prov_trail_);
     audit_ = std::make_unique<ChoiceAuditTrail>();
@@ -160,7 +158,6 @@ Status FixpointDriver::Run() {
   }
   // Fill statistics even on a bounded stop, so the partial evaluation is
   // fully reportable (RunReport, metrics, shell .stats).
-  exec_stats_view_ = exec_.stats();
   stats_.exec = exec_.stats();
   stats_.queues = AggregateQueueStats();
   if (guard_ != nullptr) {
@@ -334,8 +331,6 @@ void FixpointDriver::RestoreSnapshot(const CompiledRule& rule,
 
 void FixpointDriver::EvalPlain(const CompiledRule& rule,
                                uint32_t delta_occurrence) {
-  static const bool kTrace = std::getenv("GDLOG_TRACE") != nullptr;
-  const uint64_t rows_before = kTrace ? exec_.stats().scan_rows : 0;
   RuleProfile& prof = profiles_[rule.rule_index];
   ++prof.invocations;
   const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
@@ -344,18 +339,6 @@ void FixpointDriver::EvalPlain(const CompiledRule& rule,
   prof.tuples += n;
   prof.dedup_hits += attempted - n;
   if (obs_enabled_) RecordApply(&prof, t0, "rule");
-  if (kTrace) {
-    const Relation& head = catalog_->relation(rule.head_pred);
-    fprintf(stderr,
-            "[plain] rule#%u head=%s d=%d inserted=%zu size=%zu rows=%llu\n",
-            rule.number, head.name().c_str(),
-            delta_occurrence == CompiledScan::kNoOccurrence
-                ? -1
-                : static_cast<int>(delta_occurrence),
-            n, head.size(),
-            static_cast<unsigned long long>(exec_.stats().scan_rows -
-                                            rows_before));
-  }
 }
 
 void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
@@ -402,17 +385,12 @@ void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
                     }
                     return true;
                   });
-  Relation& head_rel = catalog_->relation(rule.head_pred);
   for (auto& [group, g] : groups) {
     for (size_t i = 0; i < g.heads.size(); ++i) {
-      const auto res = head_rel.Insert(TupleView(g.heads[i]));
-      if (res.inserted) {
-        ++exec_.stats().inserts;
+      std::span<const ProvPremise> premises;
+      if (prov_) premises = g.provs[i];
+      if (exec_.InsertHead(rule, g.heads[i], premises).inserted) {
         ++prof.tuples;
-        if (prov_) {
-          head_rel.Annotate(res.row, rule.number, g.provs[i].data(),
-                            g.provs[i].size());
-        }
       } else {
         ++prof.dedup_hits;
       }
@@ -601,53 +579,81 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
   return guard_status;
 }
 
-size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
-  // One firing per call — the paper's γ fires a single chosen instance
-  // per iteration, alternating with saturation; interleaving lets
-  // different tie-break seeds explore different stable models.
+bool FixpointDriver::AdmitAndCommit(const CompiledRule& rule,
+                                    const BindingFrame& frame,
+                                    std::vector<Value>* head,
+                                    ChoiceAuditEntry* audit) {
+  if (!choice_.Admissible(rule, frame)) {
+    if (inadmissible_ != nullptr) inadmissible_->Add(1);
+    ++audit->rejected_fd;
+    return false;
+  }
+  if (admissible_ != nullptr) admissible_->Add(1);
+  // Build the head before committing the FD: a binding whose head term
+  // fails to evaluate (untyped, e.g. arithmetic over a symbol) derives
+  // nothing and must not burn the choice.
+  if (!exec_.BuildHead(rule, frame, head)) {
+    ++audit->rejected_post;
+    return false;
+  }
+  choice_.Commit(rule, frame);
+  return true;
+}
+
+bool FixpointDriver::FireOne(CliqueCtx* ctx, GammaState* g) {
   const CompiledRule& rule = *g->rule;
   BindingFrame frame;
+  std::vector<Value> head;
+  // A next rule's post-plan premises at the firing (provenance only).
+  std::vector<ProvPremise> post_prov;
+  ChoiceAuditEntry audit;  // rejections accumulate across pops
   uint64_t pops = 0;
-  uint64_t rej_ext = 0, rej_fd = 0, rej_post = 0;
-  const uint64_t live_before =
-      audit_ != nullptr ? g->queue->LiveSize() : 0;
+  const uint64_t live_before = audit_ != nullptr ? g->queue->LiveSize() : 0;
   while (auto cand = g->queue->Pop()) {
     ++pops;
     RestoreSnapshot(rule, cand->snapshot, &frame);
-    if (rule.has_extremum) {
+    bool admitted = false;
+    if (rule.is_next) {
+      // The first admissible solution of the post plan at the current
+      // stage fires. Its head is inserted only after the enumeration
+      // ends: the post plan may hold index iterators on the head
+      // relation.
+      frame.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
+      bool saw_solution = false;
+      exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &frame,
+                      [&](BindingFrame& f) {
+                        saw_solution = true;
+                        if (!AdmitAndCommit(rule, f, &head, &audit)) {
+                          return true;
+                        }
+                        // The trail pops back to empty as the
+                        // enumeration unwinds, so copy it here.
+                        if (prov_) post_prov = prov_trail_;
+                        admitted = true;
+                        return false;
+                      });
+      if (!saw_solution) ++audit.rejected_post;
+    } else if (rule.has_extremum) {
       // Extrema filtering: pops arrive in cost order, so the first
       // candidate ever seen in a group carries the group's true
       // extremum; any later candidate with a different cost was never a
-      // valid instance of the rule. The per-group record persists across
-      // calls in the GammaState.
+      // valid instance of the rule. The group term is first evaluated
+      // here and can fail on an untyped binding — such a candidate was
+      // never a valid instance either.
       Value cost, group;
-      // Cost evaluated at enqueue, so it evaluates again here; the
-      // group term is first evaluated on this path and can fail on an
-      // untyped binding — such a candidate was never a valid instance.
-      const bool ok =
-          EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost) &&
-          EvalTerm(rule.pool, rule.group_term, frame, store_, &group);
-      if (!ok) {
-        ++rej_post;
-        g->queue->MarkRedundant(*cand);
-        continue;
+      if (!EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost) ||
+          !EvalTerm(rule.pool, rule.group_term, frame, store_, &group)) {
+        ++audit.rejected_post;
+      } else if (auto [it, fresh] = g->group_best.try_emplace(group, cost);
+                 !fresh && it->second != cost) {
+        ++audit.rejected_extremum;
+      } else {
+        admitted = AdmitAndCommit(rule, frame, &head, &audit);
       }
-      auto [it, fresh] = g->group_best.try_emplace(group, cost);
-      if (!fresh && it->second != cost) {
-        ++rej_ext;
-        if (obs_.recorder != nullptr) {
-          obs_.recorder->Record(
-              FlightEventKind::kChoiceReject,
-              static_cast<int64_t>(rule.number),
-              static_cast<int64_t>(g->queue->LiveSize()));
-        }
-        g->queue->MarkRedundant(*cand);
-        continue;
-      }
+    } else {
+      admitted = AdmitAndCommit(rule, frame, &head, &audit);
     }
-    if (!choice_.Admissible(rule, frame)) {
-      if (inadmissible_ != nullptr) inadmissible_->Add(1);
-      ++rej_fd;
+    if (!admitted) {
       if (obs_.recorder != nullptr) {
         obs_.recorder->Record(FlightEventKind::kChoiceReject,
                               static_cast<int64_t>(rule.number),
@@ -656,27 +662,17 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       g->queue->MarkRedundant(*cand);
       continue;
     }
-    if (admissible_ != nullptr) admissible_->Add(1);
-    // Build the head before committing the FD: a candidate whose head
-    // term fails to evaluate (untyped binding, e.g. arithmetic over a
-    // symbol) derives nothing and must not burn the choice.
-    std::vector<Value> head;
-    if (!exec_.BuildHead(rule, frame, &head)) {
-      ++rej_post;
-      g->queue->MarkRedundant(*cand);
-      continue;
+
+    // Commit: the firing's premises are the generator's, carried by the
+    // candidate, plus the post plan's.
+    if (prov_) {
+      cand->premises.insert(cand->premises.end(), post_prov.begin(),
+                            post_prov.end());
     }
-    choice_.Commit(rule, frame);
+    const auto res = exec_.InsertHead(rule, head, cand->premises);
     RuleProfile& prof = profiles_[rule.rule_index];
-    Relation& head_rel = catalog_->relation(rule.head_pred);
-    const auto res = head_rel.Insert(TupleView(head));
     if (res.inserted) {
-      ++exec_.stats().inserts;
       ++prof.tuples;
-      if (prov_) {
-        head_rel.Annotate(res.row, rule.number, cand->premises.data(),
-                          cand->premises.size());
-      }
     } else {
       ++prof.dedup_hits;
     }
@@ -684,178 +680,62 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     ++stats_.gamma_firings;
     ++prof.firings;
     if (pops_per_fire_hist_ != nullptr) pops_per_fire_hist_->Record(pops);
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kGammaFire,
-                            static_cast<int64_t>(rule.number),
-                            static_cast<int64_t>(stats_.gamma_firings));
-    }
-    if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
-      obs_.tracer->Instant("gamma.fire", "gamma",
-                           {{"rule", rule.number}});
+    if (rule.is_next) {
+      if (obs_.recorder != nullptr) {
+        obs_.recorder->Record(FlightEventKind::kStageAdvance,
+                              static_cast<int64_t>(rule.number),
+                              ctx->stage_counter);
+      }
+      if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
+        obs_.tracer->Instant("stage.advance", "gamma",
+                             {{"rule", rule.number},
+                              {"stage", ctx->stage_counter}});
+      }
+      audit.stage = ctx->stage_counter;
+      ++ctx->stage_counter;
+      ++stats_.stages_assigned;
+      PublishProgress(ProgressKind::kStage, 0);
+    } else {
+      if (obs_.recorder != nullptr) {
+        obs_.recorder->Record(FlightEventKind::kGammaFire,
+                              static_cast<int64_t>(rule.number),
+                              static_cast<int64_t>(stats_.gamma_firings));
+      }
+      if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
+        obs_.tracer->Instant("gamma.fire", "gamma", {{"rule", rule.number}});
+      }
     }
     if (audit_ != nullptr) {
-      ChoiceAuditEntry e;
-      e.rule_index = rule.number;
-      e.gamma_index = rule.gamma_index;
-      e.firing = stats_.gamma_firings;
-      e.candidate_set = live_before;
-      e.pops = pops;
-      e.ties = rule.has_extremum ? g->queue->CountLiveEqualCost(cand->cost)
-                                 : 0;
-      e.rejected_extremum = rej_ext;
-      e.rejected_fd = rej_fd;
-      e.rejected_post = rej_post;
-      e.cost = rule.has_extremum ? cand->cost : Value::Int(0);
-      e.witness = head_rel.name() + TupleToString(*store_, TupleView(head));
-      e.head_pred = rule.head_pred;
-      e.head_row = res.row;
-      AddAuditEntry(std::move(e));
+      audit.rule_index = rule.number;
+      audit.gamma_index = rule.gamma_index;
+      audit.firing = stats_.gamma_firings;
+      audit.candidate_set = live_before;
+      audit.pops = pops;
+      audit.ties =
+          rule.has_extremum ? g->queue->CountLiveEqualCost(cand->cost) : 0;
+      audit.cost = rule.has_extremum ? cand->cost : Value::Int(0);
+      audit.witness = catalog_->relation(rule.head_pred).name() +
+                      TupleToString(*store_, TupleView(head));
+      audit.head_pred = rule.head_pred;
+      audit.head_row = res.row;
+      AddAuditEntry(std::move(audit));
     }
-    return 1;
+    return true;
   }
-  return 0;
-}
-
-bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
-                                 const Candidate& cand,
-                                 ChoiceAuditEntry* audit) {
-  const CompiledRule& rule = *g->rule;
-  BindingFrame frame;
-  RestoreSnapshot(rule, cand.snapshot, &frame);
-  frame.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
-
-  bool fired = false;
-  bool saw_solution = false;
-  std::vector<Value> head;
-  std::vector<ProvPremise> post_prov;
-  exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &frame,
-                  [&](BindingFrame& f) {
-                    saw_solution = true;
-                    if (!choice_.Admissible(rule, f)) {
-                      if (inadmissible_ != nullptr) inadmissible_->Add(1);
-                      if (audit != nullptr) ++audit->rejected_fd;
-                      return true;
-                    }
-                    if (admissible_ != nullptr) admissible_->Add(1);
-                    // Build now, insert after: the post plan may hold
-                    // index iterators on the head relation. Build before
-                    // Commit — a solution whose head term fails to
-                    // evaluate derives nothing and must not burn the
-                    // choice.
-                    if (!exec_.BuildHead(rule, f, &head)) {
-                      if (audit != nullptr) ++audit->rejected_post;
-                      return true;
-                    }
-                    choice_.Commit(rule, f);
-                    // The firing's post premises; the trail pops back to
-                    // empty as the enumeration unwinds, so copy here.
-                    if (prov_) post_prov = prov_trail_;
-                    fired = true;
-                    return false;  // one firing per γ
-                  });
-  if (fired) {
-    RuleProfile& prof = profiles_[rule.rule_index];
-    Relation& head_rel = catalog_->relation(rule.head_pred);
-    const auto res = head_rel.Insert(TupleView(head));
-    if (res.inserted) {
-      ++prof.tuples;
-      if (prov_) {
-        // Full justification: the generator premises carried by the
-        // candidate plus the post plan's premises at the firing.
-        std::vector<ProvPremise> prems = cand.premises;
-        prems.insert(prems.end(), post_prov.begin(), post_prov.end());
-        head_rel.Annotate(res.row, rule.number, prems.data(),
-                          prems.size());
-      }
-    } else {
-      ++prof.dedup_hits;
-    }
-    if (audit != nullptr) {
-      audit->stage = ctx->stage_counter;
-      audit->cost = rule.has_extremum ? cand.cost : Value::Int(0);
-      audit->witness =
-          head_rel.name() + TupleToString(*store_, TupleView(head));
-      audit->head_pred = rule.head_pred;
-      audit->head_row = res.row;
-    }
-    static const bool kTrace = std::getenv("GDLOG_TRACE") != nullptr;
-    if (kTrace) {
-      fprintf(stderr, "[gamma] stage=%ld head=%s %s\n", ctx->stage_counter,
-              catalog_->relation(rule.head_pred).name().c_str(),
-              TupleToString(*store_, TupleView(head)).c_str());
-    }
-    g->queue->MarkFired(cand);
-    ++prof.firings;
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kStageAdvance,
-                            static_cast<int64_t>(rule.number),
-                            ctx->stage_counter);
-    }
-    if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
-      obs_.tracer->Instant("stage.advance", "gamma",
-                           {{"rule", rule.number},
-                            {"stage", ctx->stage_counter}});
-    }
-    ++ctx->stage_counter;
-    ++stats_.gamma_firings;
-    ++stats_.stages_assigned;
-    PublishProgress(ProgressKind::kStage, 0);
-  } else {
-    if (audit != nullptr && !saw_solution) ++audit->rejected_post;
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kChoiceReject,
-                            static_cast<int64_t>(rule.number),
-                            static_cast<int64_t>(g->queue->LiveSize()));
-    }
-    g->queue->MarkRedundant(cand);
-  }
-  return fired;
+  return false;
 }
 
 bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
   TraceSpan span(obs_.tracer, "GammaPhase", "fixpoint");
   const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
+  // One firing per phase — the paper's γ fires a single chosen instance
+  // per iteration, alternating with saturation; interleaving lets
+  // different tie-break seeds explore different stable models. Choice
+  // rules are tried before next rules, each in clique order.
   bool fired = false;
-  // Non-next choice rules: one firing, then back to saturation.
-  for (GammaState* g : ctx->gammas) {
-    if (g->rule->is_next) continue;
-    if (DrainChoiceRule(g) > 0) {
-      fired = true;
-      break;
-    }
-  }
-  // Next rules: exactly one firing.
-  if (!fired) {
+  for (const bool next : {false, true}) {
     for (GammaState* g : ctx->gammas) {
-      if (!g->rule->is_next) continue;
-      uint64_t pops = 0;
-      ChoiceAuditEntry entry;  // accumulates across rejected pops
-      const uint64_t live_before =
-          audit_ != nullptr ? g->queue->LiveSize() : 0;
-      while (auto cand = g->queue->Pop()) {
-        ++pops;
-        const Value cand_cost = cand->cost;
-        if (TryFireNext(ctx, g, *cand,
-                        audit_ != nullptr ? &entry : nullptr)) {
-          fired = true;
-          if (pops_per_fire_hist_ != nullptr) {
-            pops_per_fire_hist_->Record(pops);
-          }
-          if (audit_ != nullptr) {
-            entry.rule_index = g->rule->number;
-            entry.gamma_index = g->rule->gamma_index;
-            entry.firing = stats_.gamma_firings;
-            entry.candidate_set = live_before;
-            entry.pops = pops;
-            entry.ties = g->rule->has_extremum
-                             ? g->queue->CountLiveEqualCost(cand_cost)
-                             : 0;
-            AddAuditEntry(std::move(entry));
-          }
-          break;
-        }
-      }
-      if (fired) break;
+      if (!fired && g->rule->is_next == next) fired = FireOne(ctx, g);
     }
   }
   if (obs_enabled_) stats_.gamma_ns += ObsNowNs() - t0;

@@ -7,13 +7,12 @@
 //   Saturate (Q∞)  — seminaive rounds over the clique's flat rules; new
 //                    tuples also flow into the gamma rules' candidate
 //                    queues (the paper's insertion into D_r);
-//   GammaPhase (γ) — non-next choice rules drain every admissible
-//                    candidate (each drain step is a γ application whose
-//                    interleaving with Q∞ is immaterial because their
-//                    saturation adds only candidates, never invalidates
-//                    them); next rules fire exactly ONE candidate — the
-//                    best live queue entry passing its post conditions
-//                    and choice FDs — then the stage counter advances.
+//   GammaPhase (γ) — fires exactly ONE candidate: the best live queue
+//                    entry of the first gamma rule (choice rules before
+//                    next rules) that passes its rule kind's filter (the
+//                    extremum for choice rules, the post conditions for
+//                    next rules) and its choice FDs. A next-rule firing
+//                    also advances the stage counter.
 //
 // The loop ends when γ produces nothing. For stage-stratified programs
 // this computes a stable model (Theorem 1); each Pop/fire is O(log |Q|),
@@ -80,13 +79,6 @@ struct EvalOptions {
   /// planning stays deterministic. Off = the priors ablation baseline.
   /// No effect when use_join_planner is off.
   bool use_cardinality_priors = true;
-  /// Derivation provenance + choice audit: annotate every derived row
-  /// with (rule, premises) and record one ChoiceAuditEntry per γ firing.
-  /// Annotations are pure metadata — evaluation order, insert order, and
-  /// the fixpoint itself are bit-identical with the flag off. The caller
-  /// must also enable the catalog's provenance
-  /// column (Engine does both from EngineOptions::provenance).
-  bool provenance = false;
   /// Which executor runs rule plans. Both backends are bit-identical
   /// (model, stats, audit trail, provenance) — the differential fleet in
   /// tests/differential_test.cc enforces it. The interpreter stays the
@@ -150,7 +142,6 @@ class FixpointDriver {
   const ChoiceRuntime& choice_runtime() const { return choice_; }
   const std::vector<CompiledRule>& rules() const { return rules_; }
   const FixpointStats& stats() const { return stats_; }
-  const ExecStats& exec_stats() const { return exec_stats_view_; }
   /// Indexed by rule_index; entries with an empty `head` had no compiled
   /// rule (program facts).
   const std::vector<RuleProfile>& rule_profiles() const { return profiles_; }
@@ -163,7 +154,7 @@ class FixpointDriver {
   }
 
   /// The choice-audit trail (one entry per γ firing), or nullptr when
-  /// EvalOptions::provenance is off.
+  /// the catalog's provenance column is off.
   const ChoiceAuditTrail* choice_audit() const { return audit_.get(); }
 
   /// Lowering coverage of the bytecode backend (how many rules run on
@@ -212,16 +203,17 @@ class FixpointDriver {
                        const std::vector<Value>& snapshot,
                        BindingFrame* frame);
 
-  /// Attempts to fire one popped candidate of a next rule; true on fire.
-  /// `audit` (audit mode only, else null) accumulates per-candidate
-  /// rejections and, on fire, receives the witness/stage/cost fields.
-  bool TryFireNext(CliqueCtx* ctx, GammaState* g, const Candidate& cand,
-                   ChoiceAuditEntry* audit);
-
-  /// Drains a non-next gamma rule's queue, firing every admissible
-  /// candidate (extrema-filtered when the rule has one). Returns the
-  /// number of firings.
-  size_t DrainChoiceRule(GammaState* g);
+  /// Pops `g`'s queue until one candidate fires; false when the queue
+  /// drains first. Each pop restores the candidate and runs the step
+  /// its rule kind needs (a next rule: the post plan at the current
+  /// stage; a choice rule: the extremum filter), then either rejects it
+  /// into R or commits it: head insert, L, counters, audit entry.
+  bool FireOne(CliqueCtx* ctx, GammaState* g);
+  /// Checks the choice FDs on `frame`, builds the head into `head`, and
+  /// only then commits the choice. False (counted in `audit`) when the
+  /// FDs reject the binding or its head fails to evaluate.
+  bool AdmitAndCommit(const CompiledRule& rule, const BindingFrame& frame,
+                      std::vector<Value>* head, ChoiceAuditEntry* audit);
 
   /// Clock for profile timing: tracer time when tracing (so spans and
   /// profiles share an epoch), raw steady_clock otherwise.
@@ -246,7 +238,6 @@ class FixpointDriver {
   ChoiceRuntime choice_;
   std::vector<std::unique_ptr<GammaState>> gamma_states_;  // by gamma_index
   FixpointStats stats_;
-  ExecStats exec_stats_view_;  // snapshot filled when Run completes
 
   ObsContext obs_;
   bool obs_enabled_ = false;  // == obs_.enabled(), cached for the hot path
@@ -265,8 +256,11 @@ class FixpointDriver {
   uint32_t guard_event_tick_ = 0;  // samples kGuardCheck events 1/16
   bool trip_recorded_ = false;
 
-  // Provenance (see EvalOptions::provenance). `prov_trail_` is the
-  // executor's premise trail; `audit_` is allocated iff provenance is on.
+  // Provenance, on iff the catalog's provenance column is: derived rows
+  // are annotated with (rule, premises) and every γ firing gets a
+  // ChoiceAuditEntry. Pure metadata — evaluation order and the fixpoint
+  // are bit-identical with it off. `prov_trail_` is the executor's
+  // premise trail; `audit_` is allocated iff provenance is on.
   bool prov_ = false;
   std::vector<ProvPremise> prov_trail_;
   std::unique_ptr<ChoiceAuditTrail> audit_;

@@ -90,7 +90,7 @@ class RuleLowerer {
     }
     if (rule_.is_next) {
       // The post plan runs from a restored candidate snapshot with the
-      // stage slot bound (FixpointDriver::TryFireNext).
+      // stage slot bound (FixpointDriver::FireOne).
       std::vector<bool> pbound(rule_.num_slots, false);
       for (uint32_t s : rule_.snapshot_slots) pbound[s] = true;
       pbound[rule_.stage_slot] = true;

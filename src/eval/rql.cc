@@ -18,7 +18,7 @@ CandidateQueue::CandidateQueue(const ValueStore* store, Order order,
 
 bool CandidateQueue::After(const HeapEntry& a, const HeapEntry& b) const {
   if (order_ != Order::kFifo) {
-    const int c = store_->Compare(a.cost, b.cost);
+    const int c = store_->Compare(a.c.cost, b.c.cost);
     if (c != 0) {
       return order_ == Order::kMin ? c > 0 : c < 0;
     }
@@ -35,76 +35,54 @@ void CandidateQueue::Push(Value cost, Value congruence_key,
     return;  // L-hit at insertion: straight to R (paper's insertion rule)
   }
   const uint64_t seq = next_seq_++;
-  bool superseding = false;
-  auto it = live_.find(congruence_key);
-  if (it != live_.end()) {
-    if (!merge_) {
-      // Full mode: the key is the whole candidate — exact duplicate.
-      ++stats_.merged;
-      return;
-    }
-    // Merge mode: keep the better of the congruent pair in Q.
-    // Find the authoritative entry's cost via a linear probe is too
-    // slow; we track it in the live map instead.
-    const Value old_cost = live_cost_[congruence_key];
-    const int c = store_->Compare(cost, old_cost);
-    const bool new_better = order_ == Order::kMin ? c < 0 : c > 0;
-    if (!new_better) {
-      ++stats_.merged;
-      return;
-    }
-    // Supersede: the old heap entry goes stale.
+  auto [it, fresh] = live_.try_emplace(congruence_key, LiveEntry{seq, cost});
+  if (!fresh) {
+    // Full mode: the key is the whole candidate — exact duplicate.
+    // Merge mode: keep the better of the congruent pair in Q; the
+    // superseded heap entry goes stale.
     ++stats_.merged;
-    superseding = true;
+    if (!merge_) return;
+    const int c = store_->Compare(cost, it->second.cost);
+    const bool new_better = order_ == Order::kMin ? c < 0 : c > 0;
+    if (!new_better) return;
+    it->second = LiveEntry{seq, cost};
+  } else {
+    ++live_count_;
   }
-  live_[congruence_key] = seq;
-  live_cost_[congruence_key] = cost;
-  if (!superseding) ++live_count_;
 
   HeapEntry e;
-  e.cost = cost;
-  e.seq = seq;
+  e.c.cost = cost;
+  e.c.seq = seq;
+  e.c.congruence_key = congruence_key;
+  e.c.snapshot = std::move(snapshot);
+  e.c.premises = std::move(premises);
   e.tie = tie_seed_ ? Mix64(seq ^ tie_seed_) : seq;
-  e.key = congruence_key;
-  e.snapshot = std::move(snapshot);
-  e.premises = std::move(premises);
   heap_.push_back(std::move(e));
   if (!linear_scan_) {
-    // Sift up.
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!After(heap_[parent], heap_[i])) break;
-      std::swap(heap_[parent], heap_[i]);
-      i = parent;
-    }
+    std::push_heap(heap_.begin(), heap_.end(),
+                   [this](const HeapEntry& a, const HeapEntry& b) {
+                     return After(a, b);
+                   });
   }
   stats_.max_queue = std::max(stats_.max_queue, live_count_);
   if (tracer_ != nullptr) TraceOp(".push");
 }
 
+CandidateQueue::HeapEntry CandidateQueue::PopTop() {
+  std::pop_heap(heap_.begin(), heap_.end(),
+                [this](const HeapEntry& a, const HeapEntry& b) {
+                  return After(a, b);
+                });
+  HeapEntry top = std::move(heap_.back());
+  heap_.pop_back();
+  return top;
+}
+
 void CandidateQueue::SkimDead() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    const auto it = live_.find(top.key);
-    const bool stale = it == live_.end() || it->second != top.seq;
-    const bool l_hit = fired_.count(top.key) > 0;
-    if (!stale && !l_hit) return;
+  while (!heap_.empty() && !EntryLive(heap_[0])) {
     ++stats_.redundant;
     if (tracer_ != nullptr) TraceOp(".lazy_delete");
-    // Remove top: move last to root and sift down.
-    heap_[0] = std::move(heap_.back());
-    heap_.pop_back();
-    size_t i = 0;
-    for (;;) {
-      const size_t l = 2 * i + 1, r = 2 * i + 2;
-      size_t best = i;
-      if (l < heap_.size() && After(heap_[best], heap_[l])) best = l;
-      if (r < heap_.size() && After(heap_[best], heap_[r])) best = r;
-      if (best == i) break;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
+    PopTop();
   }
 }
 
@@ -112,33 +90,16 @@ std::optional<Candidate> CandidateQueue::Pop() {
   if (linear_scan_) return PopLinear();
   SkimDead();
   if (heap_.empty()) return std::nullopt;
-  HeapEntry top = std::move(heap_[0]);
-  heap_[0] = std::move(heap_.back());
-  heap_.pop_back();
-  size_t i = 0;
-  for (;;) {
-    const size_t l = 2 * i + 1, r = 2 * i + 2;
-    size_t best = i;
-    if (l < heap_.size() && After(heap_[best], heap_[l])) best = l;
-    if (r < heap_.size() && After(heap_[best], heap_[r])) best = r;
-    if (best == i) break;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
-  Candidate c;
-  c.cost = top.cost;
-  c.seq = top.seq;
-  c.congruence_key = top.key;
-  c.snapshot = std::move(top.snapshot);
-  c.premises = std::move(top.premises);
+  Candidate c = std::move(PopTop().c);
   if (live_count_ > 0) --live_count_;
   if (tracer_ != nullptr) TraceOp(".pop");
   return c;
 }
 
 bool CandidateQueue::EntryLive(const HeapEntry& e) const {
-  const auto it = live_.find(e.key);
-  return it != live_.end() && it->second == e.seq && fired_.count(e.key) == 0;
+  const auto it = live_.find(e.c.congruence_key);
+  return it != live_.end() && it->second.seq == e.c.seq &&
+         fired_.count(e.c.congruence_key) == 0;
 }
 
 size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
@@ -148,7 +109,7 @@ size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
     // the linear ablation has no heap order at all.
     size_t n = 0;
     for (const HeapEntry& e : heap_) {
-      if (EntryLive(e) && store_->Compare(e.cost, cost) == 0) ++n;
+      if (EntryLive(e) && store_->Compare(e.c.cost, cost) == 0) ++n;
     }
     return n;
   }
@@ -162,7 +123,7 @@ size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
     const size_t i = stack.back();
     stack.pop_back();
     if (i >= heap_.size()) continue;
-    const int c = store_->Compare(heap_[i].cost, cost);
+    const int c = store_->Compare(heap_[i].c.cost, cost);
     const bool worse = order_ == Order::kMin ? c > 0 : c < 0;
     if (worse) continue;
     if (c == 0 && EntryLive(heap_[i])) ++n;
@@ -189,49 +150,23 @@ void CandidateQueue::MarkRedundant(const Candidate& c) {
 }
 
 std::optional<Candidate> CandidateQueue::PopLinear() {
-  for (;;) {
-    if (heap_.empty()) return std::nullopt;
-    size_t best = heap_.size();
-    for (size_t i = 0; i < heap_.size(); ++i) {
-      const auto it = live_.find(heap_[i].key);
-      const bool dead = it == live_.end() || it->second != heap_[i].seq ||
-                        fired_.count(heap_[i].key) > 0;
-      if (dead) continue;
-      if (best == heap_.size() || After(heap_[best], heap_[i])) best = i;
-    }
-    if (best == heap_.size()) {
-      // Everything left is dead.
-      stats_.redundant += heap_.size();
-      heap_.clear();
-      return std::nullopt;
-    }
-    HeapEntry e = std::move(heap_[best]);
-    heap_[best] = std::move(heap_.back());
-    heap_.pop_back();
-    Candidate c;
-    c.cost = e.cost;
-    c.seq = e.seq;
-    c.congruence_key = e.key;
-    c.snapshot = std::move(e.snapshot);
-    c.premises = std::move(e.premises);
-    if (live_count_ > 0) --live_count_;
-    if (tracer_ != nullptr) TraceOp(".pop");
-    return c;
+  size_t best = heap_.size();
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    if (!EntryLive(heap_[i])) continue;
+    if (best == heap_.size() || After(heap_[best], heap_[i])) best = i;
   }
-}
-
-bool CandidateQueue::Empty() {
-  if (linear_scan_) {
-    for (const HeapEntry& e : heap_) {
-      const auto it = live_.find(e.key);
-      if (it != live_.end() && it->second == e.seq && !fired_.count(e.key)) {
-        return false;
-      }
-    }
-    return true;
+  if (best == heap_.size()) {
+    // Everything left is dead.
+    stats_.redundant += heap_.size();
+    heap_.clear();
+    return std::nullopt;
   }
-  SkimDead();
-  return heap_.empty();
+  Candidate c = std::move(heap_[best].c);
+  heap_[best] = std::move(heap_.back());
+  heap_.pop_back();
+  if (live_count_ > 0) --live_count_;
+  if (tracer_ != nullptr) TraceOp(".pop");
+  return c;
 }
 
 }  // namespace gdlog

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -89,8 +88,6 @@ class CandidateQueue {
   /// failed post conditions) — the paper's move into R_r.
   void MarkRedundant(const Candidate& c);
 
-  bool Empty();
-  size_t QueueSize() const { return heap_.size(); }
   /// Live (non-stale, non-fired) candidates currently in Q — the
   /// candidate-set size the choice audit reports.
   size_t LiveSize() const { return live_count_; }
@@ -109,17 +106,20 @@ class CandidateQueue {
 
  private:
   struct HeapEntry {
+    Candidate c;
+    uint64_t tie = 0;  // perturbed seq: a bijection, so pop order is total
+  };
+  /// The authoritative entry of one congruence class.
+  struct LiveEntry {
+    uint64_t seq = 0;
     Value cost;
-    uint64_t tie;  // perturbed seq
-    uint64_t seq;
-    Value key;
-    std::vector<Value> snapshot;
-    std::vector<ProvPremise> premises;
   };
 
-  /// True when a comes after b in pop order (std::priority_queue keeps
-  /// the "largest"; we invert so the best pops first).
+  /// True when a comes after b in pop order; as the heap comparator it
+  /// keeps the best entry at the root.
   bool After(const HeapEntry& a, const HeapEntry& b) const;
+  /// Removes and returns the heap root.
+  HeapEntry PopTop();
 
   void SkimDead();
   std::optional<Candidate> PopLinear();
@@ -133,11 +133,10 @@ class CandidateQueue {
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;  // authoritative (non-stale, non-fired) entries
 
-  std::vector<HeapEntry> heap_;  // binary heap managed manually
-  // Live-entry registry: congruence key -> seq of the authoritative
-  // entry. A popped entry whose seq mismatches is stale (superseded).
-  std::unordered_map<Value, uint64_t, ValueHash> live_;
-  std::unordered_map<Value, Value, ValueHash> live_cost_;
+  std::vector<HeapEntry> heap_;  // binary heap (std::push_heap/pop_heap)
+  // Live-entry registry: congruence key -> the authoritative entry. A
+  // popped entry whose seq mismatches is stale (superseded).
+  std::unordered_map<Value, LiveEntry, ValueHash> live_;
   std::unordered_set<Value, ValueHash> fired_;  // L
   CandidateQueueStats stats_;
   Tracer* tracer_ = nullptr;

@@ -1,7 +1,5 @@
 #include "eval/seminaive.h"
 
-#include <cstdlib>
-
 #include "common/logging.h"
 #include "eval/vm/vm.h"
 #include "obs/metrics.h"
@@ -130,10 +128,8 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
     return keep_going ? 0 : 1;
   };
 
-  // Debug/ablation switch: GDLOG_NO_INDEX=1 forces full scans.
-  static const bool kNoIndex = std::getenv("GDLOG_NO_INDEX") != nullptr;
   bool aborted = false;
-  if (scan.index_id >= 0 && !kNoIndex) {
+  if (scan.index_id >= 0) {
     // Evaluate the probe key.
     std::vector<Value> key;
     key.reserve(scan.bound_cols.size());
@@ -256,89 +252,76 @@ bool PlanExecutor::Enumerate(
 bool PlanExecutor::BuildHead(const CompiledRule& rule,
                              const BindingFrame& frame,
                              std::vector<Value>* out) {
-  out->clear();
-  out->reserve(rule.head_terms.size());
+  const size_t base = out->size();
   for (uint32_t t : rule.head_terms) {
     Value v;
-    if (!EvalTerm(rule.pool, t, frame, store_, &v)) return false;
+    if (!EvalTerm(rule.pool, t, frame, store_, &v)) {
+      out->resize(base);
+      return false;
+    }
     out->push_back(v);
   }
   return true;
 }
 
-size_t PlanExecutor::ApplyRuleVm(const CompiledRule& rule,
-                                 const vm::PlanCode& code,
-                                 const vm::RuleCode& rcode,
-                                 uint32_t delta_occurrence,
-                                 size_t* attempted) {
-  // The VM emit path: head tuples land in one flat buffer (no
-  // per-solution allocation), buffered like the interpreter so index
-  // iterators stay valid and recursive rules see a stable head window.
-  std::vector<Value> pending;
-  std::vector<std::vector<ProvPremise>> pending_prov;
-  BindingFrame frame(rule.num_slots);
-  size_t emitted = 0;
-  vm::ExecuteEmit(code, rcode, delta_occurrence, &frame, VmCtx(), &pending,
-                  trail_ != nullptr ? &pending_prov : nullptr, &emitted);
-  if (attempted != nullptr) *attempted = emitted;
-  size_t inserted = 0;
+Relation::InsertResult PlanExecutor::InsertHead(
+    const CompiledRule& rule, TupleView tuple,
+    std::span<const ProvPremise> premises) {
   Relation& head_rel = catalog_->relation(rule.head_pred);
-  const size_t arity = rule.head_terms.size();
-  for (size_t i = 0; i < emitted; ++i) {
-    const auto res =
-        head_rel.Insert(TupleView(pending.data() + i * arity, arity));
-    if (res.inserted) {
-      ++inserted;
-      ++stats_.inserts;
-      if (trail_ != nullptr) {
-        head_rel.Annotate(res.row, rule.number, pending_prov[i].data(),
-                          pending_prov[i].size());
-      }
+  const auto res = head_rel.Insert(tuple);
+  if (res.inserted) {
+    ++stats_.inserts;
+    if (trail_ != nullptr) {
+      head_rel.Annotate(res.row, rule.number, premises.data(),
+                        premises.size());
     }
   }
-  return inserted;
+  return res;
 }
 
 size_t PlanExecutor::ApplyRule(const CompiledRule& rule,
                                uint32_t delta_occurrence, size_t* attempted) {
-  // Head tuples are buffered and inserted only after the enumeration
-  // finishes: inserting into a relation invalidates any live index
-  // iterator on it (a rehash rewrites the chains), and recursive rules
-  // scan their own head relation.
-  std::vector<std::vector<Value>> pending;
+  // Head tuples land in one flat buffer (stride = head arity) and are
+  // inserted only after the enumeration finishes: inserting into a
+  // relation invalidates any live index iterator on it (a rehash
+  // rewrites the chains), and recursive rules scan their own head
+  // relation.
+  std::vector<Value> pending;
   // Per-pending-head premises, parallel to `pending` (provenance only).
   std::vector<std::vector<ProvPremise>> pending_prov;
+  size_t emitted = 0;
   BindingFrame frame(rule.num_slots);
   // Delta variants run their delta-first plan (the Δ atom leads).
   const std::vector<CompiledLiteral>& plan = rule.PlanFor(delta_occurrence);
+  const vm::PlanCode* code = nullptr;
+  const vm::RuleCode* rcode = nullptr;
   if (vm_ != nullptr && oracle_ == nullptr) {
-    const vm::PlanCode* code = vm_->Find(&plan);
-    const vm::RuleCode* rcode = vm_->FindRule(&rule);
-    if (code != nullptr && rcode != nullptr) {
-      return ApplyRuleVm(rule, *code, *rcode, delta_occurrence, attempted);
-    }
+    code = vm_->Find(&plan);
+    rcode = vm_->FindRule(&rule);
   }
-  Enumerate(rule, plan, delta_occurrence, &frame,
-            [&](BindingFrame& f) {
-              std::vector<Value> head;
-              if (BuildHead(rule, f, &head)) {
-                pending.push_back(std::move(head));
-                if (trail_ != nullptr) pending_prov.push_back(*trail_);
-              }
-              return true;
-            });
-  if (attempted != nullptr) *attempted = pending.size();
-  size_t inserted = 0;
-  Relation& head_rel = catalog_->relation(rule.head_pred);
-  for (size_t i = 0; i < pending.size(); ++i) {
-    const auto res = head_rel.Insert(TupleView(pending[i]));
-    if (res.inserted) {
-      ++inserted;
-      ++stats_.inserts;
-      if (trail_ != nullptr) {
-        head_rel.Annotate(res.row, rule.number, pending_prov[i].data(),
-                          pending_prov[i].size());
+  if (code != nullptr && rcode != nullptr) {
+    vm::ExecuteEmit(*code, *rcode, delta_occurrence, &frame, VmCtx(),
+                    &pending, trail_ != nullptr ? &pending_prov : nullptr,
+                    &emitted);
+  } else {
+    Enumerate(rule, plan, delta_occurrence, &frame, [&](BindingFrame& f) {
+      if (BuildHead(rule, f, &pending)) {
+        ++emitted;
+        if (trail_ != nullptr) pending_prov.push_back(*trail_);
       }
+      return true;
+    });
+  }
+  if (attempted != nullptr) *attempted = emitted;
+  size_t inserted = 0;
+  const size_t arity = rule.head_terms.size();
+  for (size_t i = 0; i < emitted; ++i) {
+    std::span<const ProvPremise> premises;
+    if (trail_ != nullptr) premises = pending_prov[i];
+    if (InsertHead(rule, TupleView(pending.data() + i * arity, arity),
+                   premises)
+            .inserted) {
+      ++inserted;
     }
   }
   return inserted;

@@ -15,6 +15,7 @@
 #define GDLOG_EVAL_SEMINAIVE_H_
 
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "eval/binding.h"
@@ -103,10 +104,17 @@ class PlanExecutor {
   size_t ApplyRule(const CompiledRule& rule, uint32_t delta_occurrence,
                    size_t* attempted = nullptr);
 
-  /// Builds the head tuple under `frame` into `out`. Returns false if a
-  /// head term fails to evaluate (engine bug for compiled rules).
+  /// Appends the head tuple under `frame` to `out`. Returns false, with
+  /// `out` unchanged, if a head term fails to evaluate (an untyped
+  /// binding, e.g. arithmetic over a symbol).
   bool BuildHead(const CompiledRule& rule, const BindingFrame& frame,
                  std::vector<Value>* out);
+
+  /// Inserts a derived head tuple of `rule`. A new row counts in
+  /// stats().inserts and, while provenance is on, is annotated with
+  /// `rule` and `premises`. Every derived-tuple insert goes through here.
+  Relation::InsertResult InsertHead(const CompiledRule& rule, TupleView tuple,
+                                    std::span<const ProvPremise> premises);
 
   ExecStats& stats() { return stats_; }
   ValueStore* store() { return store_; }
@@ -129,9 +137,6 @@ class PlanExecutor {
   /// counters, goal stats and trail, so both backends are
   /// indistinguishable to callers.
   vm::ExecCtx VmCtx();
-  size_t ApplyRuleVm(const CompiledRule& rule, const vm::PlanCode& code,
-                     const vm::RuleCode& rcode, uint32_t delta_occurrence,
-                     size_t* attempted);
 
   Catalog* catalog_;
   ValueStore* store_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <type_traits>
 
 #include "obs/metrics.h"
@@ -483,8 +482,7 @@ class Runner {
 
 std::unique_ptr<PlanCode> CompilePlanLevels(const ir::PlanIR& pir,
                                             const CompiledRule* rule,
-                                            const Catalog& catalog,
-                                            bool no_index) {
+                                            const Catalog& catalog) {
   auto code = std::make_unique<PlanCode>();
   code->rule = rule;
   uint32_t key_off = 0;
@@ -503,7 +501,7 @@ std::unique_ptr<PlanCode> CompilePlanLevels(const ir::PlanIR& pir,
         level.scan = &scan;
         const Relation& rel = catalog.relation(scan.pred);
         level.rel = &rel;
-        if (scan.index_id >= 0 && !no_index) {
+        if (scan.index_id >= 0) {
           level.index = &rel.index(static_cast<size_t>(scan.index_id));
           level.keys = l.scan.keys;
           level.key_offset = key_off;
@@ -576,7 +574,7 @@ std::unique_ptr<PlanCode> CompilePlanLevels(const ir::PlanIR& pir,
         }
         break;
       case CompiledLiteral::Kind::kNotExists:
-        level.sub = CompilePlanLevels(*l.sub, rule, catalog, no_index);
+        level.sub = CompilePlanLevels(*l.sub, rule, catalog);
         if (!level.sub->pure_slots) pure = false;
         break;
     }
@@ -605,9 +603,6 @@ size_t PlanBytes(const PlanCode& code) {
 }  // namespace
 
 ProgramCode Compile(const ir::ProgramIR& pir, const Catalog& catalog) {
-  // Same debug/ablation switch as the interpreter's RunScan, folded at
-  // compile time: with GDLOG_NO_INDEX set, every scan is a full scan.
-  static const bool kNoIndex = std::getenv("GDLOG_NO_INDEX") != nullptr;
   ProgramCode out;
   out.report = pir.report;
   for (const ir::RuleIR& r : pir.rules) {
@@ -619,7 +614,7 @@ ProgramCode Compile(const ir::ProgramIR& pir, const Catalog& catalog) {
     out.rules.emplace(r.rule, RuleCode{r.rule, r.head_ops, head_pure});
     for (const ir::PlanIR& p : r.plans) {
       out.plans.emplace(p.source,
-                        CompilePlanLevels(p, r.rule, catalog, kNoIndex));
+                        CompilePlanLevels(p, r.rule, catalog));
     }
   }
   return out;

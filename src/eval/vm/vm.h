@@ -130,7 +130,7 @@ struct ProgramCode {
 
 /// Resolves storage pointers and registers every plan of `pir` (which
 /// must outlive the result, along with the CompiledRule vector it
-/// aliases). Honors GDLOG_NO_INDEX like the interpreter.
+/// aliases).
 ProgramCode Compile(const ir::ProgramIR& pir, const Catalog& catalog);
 
 /// Execution context, assembled by PlanExecutor from its own state so

@@ -37,8 +37,8 @@ enum class FlightEventKind : uint8_t {
   kPlanDecision,     // a0 = rule index,   a1 = goals in plan
   kFaultInjected,    // a0 = probe ordinal (FaultInjector::ProbeCatalog)
   kCancelRequested,  // from Engine::RequestCancel (signal-safe path)
-  kGammaFire,        // a0 = rule index,   a1 = stage counter (-1: none)
-  kStageAdvance,     // a0 = rule index,   a1 = new stage counter
+  kGammaFire,        // a0 = rule index,   a1 = γ firings so far
+  kStageAdvance,     // a0 = rule index,   a1 = stage the firing assigned
   kOom,              // bad_alloc reached the Run boundary
   kTermination,      // a0 = TerminationReason, a1 = status ok (0/1)
   kChoiceReject,     // a0 = rule index,   a1 = live candidates left in Q

@@ -111,7 +111,10 @@ Status HttpServer::Start() {
   active_fds_ = std::make_unique<std::atomic<int>[]>(options_.workers);
   for (uint32_t i = 0; i < options_.workers; ++i) active_fds_[i].store(-1);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The accept thread gets its own copy of the fd: Stop shuts the
+  // listener down, joins the thread, and only then closes it, so the
+  // number cannot be reused under a still-running accept().
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   workers_.reserve(options_.workers);
   for (uint32_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -122,12 +125,8 @@ Status HttpServer::Start() {
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Closing the listener wakes the accept thread out of accept().
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shutting the listener down wakes the accept thread out of accept().
+  ::shutdown(listen_fd_, SHUT_RDWR);
   // Unblock workers stuck in recv/send on a live connection (includes
   // any in-flight SSE stream, which also polls ShouldStop).
   for (uint32_t i = 0; i < options_.workers; ++i) {
@@ -136,6 +135,8 @@ void HttpServer::Stop() {
   }
   cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
@@ -146,9 +147,9 @@ void HttpServer::Stop() {
   pending_.clear();
 }
 
-void HttpServer::AcceptLoop() {
+void HttpServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (stopping_.load(std::memory_order_acquire)) {
       if (fd >= 0) ::close(fd);
       return;

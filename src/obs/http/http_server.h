@@ -118,7 +118,7 @@ class HttpServer {
   }
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void WorkerLoop(size_t slot);
   void ServeConnection(int fd, size_t slot);
   /// Sends head+body honoring the write timeout; best-effort.
@@ -132,7 +132,7 @@ class HttpServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<uint16_t> port_{0};
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  // owned by Start/Stop; the accept thread has a copy
 
   std::mutex mu_;
   std::condition_variable cv_;

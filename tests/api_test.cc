@@ -191,6 +191,26 @@ TEST(Api, StatsAvailableAfterRun) {
   EXPECT_GT(e.stats()->saturation_rounds, 0u);
 }
 
+TEST(Api, NextRuleFiringsCountAsInserts) {
+  // sort.dl's five p facts each reach sp/3 through one next-rule firing;
+  // the seed row sp(nil, 0, 0) is a fact, not a derived insert.
+  std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/programs/sort.dl");
+  std::stringstream text;
+  text << in.rdbuf();
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram(text.str()).ok());
+  ASSERT_TRUE(e.Run().ok());
+  EXPECT_EQ(e.Query("sp", 3).size(), 6u);
+  auto report = e.RunReport();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto doc = ParseJson(*report);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* fx = doc->Find("fixpoint");
+  ASSERT_NE(fx, nullptr);
+  EXPECT_EQ(fx->Find("inserts")->number, 5.0);
+  EXPECT_EQ(fx->Find("gamma_firings")->number, 5.0);
+}
+
 TEST(Api, AnalysisIntrospection) {
   Engine e;
   ASSERT_TRUE(e.LoadProgram(R"(

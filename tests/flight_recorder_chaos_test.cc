@@ -23,6 +23,17 @@ constexpr const char* kRunaway = R"(
   c(M) <- c(N), M = N + 1, N < 2000000000.
 )";
 
+// A memory runaway for the alloc probe (growth events are logarithmic in
+// data size): eight new c rows per c row each round, each copied into a
+// 16-column w row, so the probe fires within a few rounds instead of
+// kRunaway's ~2M. The N bound caps the run should it never fire.
+constexpr const char* kMemoryRunaway = R"(
+  b(0). b(1). b(2). b(3). b(4). b(5). b(6). b(7).
+  c(0).
+  c(M) <- c(N), b(D), M = 8 * N + D + 1, N < 50000.
+  w(N, N, N, N, N, N, N, N, N, N, N, N, N, N, N, N) <- c(N).
+)";
+
 // One stage per p fact (declarative sort) — the only fixture that can
 // trip the stage limit.
 constexpr const char* kStaged = R"(
@@ -58,14 +69,15 @@ void ExpectBlackBox(const Engine& engine, TerminationReason reason) {
 }
 
 std::unique_ptr<Engine> StoppedRunaway(RunLimits limits,
-                                       std::string faults = "") {
+                                       std::string faults = "",
+                                       const char* program = kRunaway) {
   EngineOptions options;
   options.limits = limits;
   options.faults = std::move(faults);
   // Keep the auto-dump quiet in test logs; DumpFlightRecorder still works.
   options.obs.recorder_dump_on_stop = false;
   auto engine = std::make_unique<Engine>(options);
-  EXPECT_TRUE(engine->LoadProgram(kRunaway).ok());
+  EXPECT_TRUE(engine->LoadProgram(program).ok());
   EXPECT_FALSE(engine->Run().ok());
   return engine;
 }
@@ -138,7 +150,7 @@ TEST(FlightRecorderChaos, SignalPathCancelLeavesBlackBox) {  // GD205
 TEST(FlightRecorderChaos, GracefulOomLeavesBlackBox) {  // GD206
   RunLimits backstop;
   backstop.deadline_ms = 180000;  // hang backstop only (TSan headroom)
-  ExpectBlackBox(*StoppedRunaway(backstop, "alloc@40"),
+  ExpectBlackBox(*StoppedRunaway(backstop, "alloc@40", kMemoryRunaway),
                  TerminationReason::kOom);
 }
 

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "analysis/diagnostics.h"
@@ -23,6 +25,20 @@ constexpr const char* kRunaway = R"(
   c(M) <- c(N), M = N + 1, N < 2000000000.
 )";
 
+// A memory runaway for the alloc probe, which counts growth events of
+// tracked memory (logarithmic in data size): every c row spawns eight
+// more per round and each is copied into a 16-column w row, so memory
+// grows by orders of magnitude in a handful of rounds. kRunaway, one
+// tuple per round, needs ~2M rounds to reach the same growth count —
+// minutes under TSan. The N bound caps the run at ~800k rows should
+// the probe never fire.
+constexpr const char* kMemoryRunaway = R"(
+  b(0). b(1). b(2). b(3). b(4). b(5). b(6). b(7).
+  c(0).
+  c(M) <- c(N), b(D), M = 8 * N + D + 1, N < 50000.
+  w(N, N, N, N, N, N, N, N, N, N, N, N, N, N, N, N) <- c(N).
+)";
+
 // One stage per p fact: the paper's declarative sort (Example 5).
 constexpr const char* kStaged = R"(
   sp(nil, 0, 0).
@@ -30,12 +46,13 @@ constexpr const char* kStaged = R"(
 )";
 
 std::unique_ptr<Engine> MakeRunaway(RunLimits limits,
-                                    std::string faults = "") {
+                                    std::string faults = "",
+                                    const char* program = kRunaway) {
   EngineOptions options;
   options.limits = limits;
   options.faults = std::move(faults);
   auto engine = std::make_unique<Engine>(options);
-  EXPECT_TRUE(engine->LoadProgram(kRunaway).ok());
+  EXPECT_TRUE(engine->LoadProgram(program).ok());
   return engine;
 }
 
@@ -184,6 +201,23 @@ TEST(Guardrails, StageLimitStopsStagedProgram) {
   EXPECT_LE(engine.stats()->stages_assigned, 6u);
 }
 
+TEST(Guardrails, TupleLimitCountsNextRuleFirings) {
+  // sort.dl derives every sp/3 row (but the seed fact) by a next-rule
+  // firing, so only counted γ inserts can trip the tuple limit.
+  std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/programs/sort.dl");
+  std::stringstream text;
+  text << in.rdbuf();
+  EngineOptions options;
+  options.limits.max_tuples = 2;
+  Engine engine(options);
+  ASSERT_TRUE(engine.LoadProgram(text.str()).ok());
+  const Status st = engine.Run();
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_EQ(DiagCodeOfStatus(st), diag::kTupleLimit);
+  EXPECT_EQ(engine.outcome().reason, TerminationReason::kTupleLimit);
+  EXPECT_LT(engine.Query("sp", 3).size(), 6u);
+}
+
 TEST(Guardrails, UnlimitedRunStillCompletes) {
   // Sanity: guardrail plumbing must not perturb a normal bounded program.
   EngineOptions options;
@@ -223,12 +257,13 @@ TEST(Guardrails, CancelFromSecondThreadStopsRun) {
 
 TEST(Guardrails, InjectedAllocFailureIsGracefulOom) {
   // The alloc probe counts *growth events* (capacity changes), which are
-  // logarithmic in data size — keep the trigger small so it fires early.
-  // The deadline is only a hang backstop and must stay far above the
-  // probe's trigger time even under TSan's ~30x slowdown.
+  // logarithmic in data size — keep the trigger small and the runaway
+  // memory-hungry so it fires early. The deadline is only a hang
+  // backstop and must stay far above the probe's trigger time even
+  // under TSan's ~30x slowdown.
   RunLimits backstop;
   backstop.deadline_ms = 180000;
-  auto engine = MakeRunaway(backstop, "alloc@40");
+  auto engine = MakeRunaway(backstop, "alloc@40", kMemoryRunaway);
   const Status st = engine->Run();
   EXPECT_EQ(st.code(), StatusCode::kOutOfMemory) << st.ToString();
   EXPECT_EQ(DiagCodeOfStatus(st), diag::kOutOfMemory);

@@ -22,6 +22,7 @@
 // plan-dependent, so assertions are order-insensitive).
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -37,6 +38,7 @@
 #include "greedy/huffman.h"
 #include "greedy/kruskal.h"
 #include "greedy/prim.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "storage/tuple.h"
@@ -215,7 +217,6 @@ TEST_P(ProvenanceDifferential, ModelBitIdenticalOnOff) {
   auto run = [&text](bool provenance) {
     EngineOptions opts = WithProvenance();
     opts.provenance = provenance;
-    opts.eval.provenance = false;  // ctor re-derives from opts.provenance
     Engine e(opts);
     EXPECT_TRUE(e.LoadProgram(text).ok());
     auto st = e.Run();
@@ -365,6 +366,75 @@ TEST(ChoiceAudit, ChoiceSeriesReachPrometheus) {
   EXPECT_NE(metrics->find("gdlog_choice_candidate_set"), std::string::npos);
   EXPECT_NE(metrics->find("gdlog_choice_audit_firings_total"),
             std::string::npos);
+}
+
+// -- 5. The choice-reject contract ----------------------------------------
+//
+// docs/OBSERVABILITY.md: a choice-reject event is recorded every time a
+// popped candidate fails to fire, and a firing's audit entry counts the
+// rejections on the way to it. So, per rule, the events since the rule's
+// previous firing are exactly the next entry's rejections — except those
+// of a pass that drained the queue without firing, whose last event
+// reports 0 live candidates left.
+
+// A choice rule whose first candidate's head fails to evaluate (a + 1):
+// one rejected_post, then the second candidate fires.
+constexpr char kHeadFailure[] = R"(
+  v(a, k). v(1, k). v(2, k).
+  w(X + 1, K) <- v(X, K), choice(K, X).
+)";
+
+void ExpectRejectEventsMatchAudit(const std::string& text) {
+  EngineOptions opts = WithProvenance();
+  opts.obs.recorder_capacity = 1 << 16;
+  Engine e(opts);
+  ASSERT_TRUE(e.LoadProgram(text).ok());
+  ASSERT_TRUE(e.Run().ok());
+  const FlightRecorder* rec = e.flight_recorder();
+  ASSERT_NE(rec, nullptr);
+  ASSERT_LE(rec->recorded(), rec->capacity());  // nothing lapped
+  const ChoiceAuditTrail* audit = e.ChoiceAudit();
+  ASSERT_NE(audit, nullptr);
+  std::map<int64_t, uint64_t> pending;  // rule -> rejections not yet owned
+  size_t firings = 0;
+  uint64_t events = 0, audited = 0;
+  for (const FlightRecorder::Event& ev : rec->Snapshot()) {
+    if (ev.kind == FlightEventKind::kChoiceReject) {
+      ++events;
+      ++pending[ev.a0];
+      if (ev.a1 == 0) pending[ev.a0] = 0;  // drained without firing
+      continue;
+    }
+    if (ev.kind != FlightEventKind::kGammaFire &&
+        ev.kind != FlightEventKind::kStageAdvance) {
+      continue;
+    }
+    ASSERT_LT(firings, audit->entries().size());
+    const ChoiceAuditEntry& entry = audit->entries()[firings++];
+    EXPECT_EQ(ev.a0, entry.rule_index);
+    // gamma-fire carries the firing ordinal, stage-advance the stage.
+    EXPECT_EQ(ev.a1, ev.kind == FlightEventKind::kGammaFire
+                         ? static_cast<int64_t>(entry.firing)
+                         : entry.stage);
+    const uint64_t rejected =
+        entry.rejected_extremum + entry.rejected_fd + entry.rejected_post;
+    EXPECT_EQ(pending[ev.a0], rejected) << "firing #" << entry.firing;
+    audited += rejected;
+    pending[ev.a0] = 0;
+  }
+  EXPECT_EQ(firings, audit->entries().size());
+  EXPECT_GE(events, audited);
+}
+
+TEST(ChoiceRejectContract, ShippedPrograms) {
+  for (const char* program : {"course_assignment.dl", "prim.dl"}) {
+    SCOPED_TRACE(program);
+    ExpectRejectEventsMatchAudit(ReadFileOrDie(program));
+  }
+}
+
+TEST(ChoiceRejectContract, HeadFailureIsARejection) {
+  ExpectRejectEventsMatchAudit(kHeadFailure);
 }
 
 TEST(BuildInfo, GaugeAndReportExposeBuildIdentity) {

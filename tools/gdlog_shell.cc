@@ -638,7 +638,6 @@ int RunInteractive(gdlog::EngineOptions options) {
         std::printf("provenance on (takes effect on the next .run)\n");
       } else if (arg1 == "off") {
         sh.options.provenance = false;
-        sh.options.eval.provenance = false;
         std::printf("provenance off\n");
       } else {
         std::printf("usage: .provenance on | .provenance off\n");
