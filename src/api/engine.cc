@@ -956,6 +956,8 @@ Result<std::string> Engine::RunReport() const {
         w.Key("rejected_extremum").UInt(e.rejected_extremum);
         w.Key("rejected_fd").UInt(e.rejected_fd);
         w.Key("rejected_post").UInt(e.rejected_post);
+        // Present only on drained-step entries.
+        if (!e.fired) w.Key("fired").Bool(false);
         w.EndObject();
       }
       w.EndArray();
@@ -1341,7 +1343,7 @@ Result<StableCheckResult> Engine::VerifyStableModel() const {
   for (const CompiledRule& r : driver_->rules()) {
     max_gamma = std::max(max_gamma, r.gamma_index);
   }
-  std::vector<std::vector<std::vector<Value>>> chosen(max_gamma + 1);
+  std::vector<ChosenSet> chosen(max_gamma + 1);
   for (const CompiledRule& r : driver_->rules()) {
     if (r.gamma_index >= 0) {
       chosen[r.gamma_index] = driver_->choice_runtime().ChosenTuples(

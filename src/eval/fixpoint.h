@@ -21,6 +21,7 @@
 #define GDLOG_EVAL_FIXPOINT_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/stage.h"
@@ -171,7 +172,6 @@ class FixpointDriver {
   struct GammaState {
     const CompiledRule* rule;
     std::unique_ptr<CandidateQueue> queue;
-    bool merge = false;  // effective congruence-merge mode
     // For non-next extrema rules: first-seen (= true) extremum per group.
     std::unordered_map<Value, Value, ValueHash> group_best;
   };
@@ -200,14 +200,14 @@ class FixpointDriver {
 
   /// Restores a candidate snapshot into `frame`.
   void RestoreSnapshot(const CompiledRule& rule,
-                       const std::vector<Value>& snapshot,
-                       BindingFrame* frame);
+                       std::span<const Value> snapshot, BindingFrame* frame);
 
   /// Pops `g`'s queue until one candidate fires; false when the queue
   /// drains first. Each pop restores the candidate and runs the step
   /// its rule kind needs (a next rule: the post plan at the current
   /// stage; a choice rule: the extremum filter), then either rejects it
-  /// into R or commits it: head insert, L, counters, audit entry.
+  /// into R or commits it: head insert, L, counters, audit entry. A
+  /// drain after rejections gets an audit entry with `fired` false.
   bool FireOne(CliqueCtx* ctx, GammaState* g);
   /// Checks the choice FDs on `frame`, builds the head into `head`, and
   /// only then commits the choice. False (counted in `audit`) when the
@@ -221,8 +221,10 @@ class FixpointDriver {
   /// Closes one timed rule application: profile wall time, latency
   /// histogram, and a sampled trace span.
   void RecordApply(RuleProfile* prof, uint64_t start_ns, const char* cat);
-  /// Appends an audit entry and re-charges the trail to the MemoryBudget.
-  void AddAuditEntry(ChoiceAuditEntry entry);
+  /// Completes `entry` with the rule and pop-sequence fields, appends
+  /// it, and re-charges the trail to the MemoryBudget.
+  void AddAuditEntry(const CompiledRule& rule, uint64_t live_before,
+                     uint64_t pops, ChoiceAuditEntry entry);
   /// Publishes end-of-run totals into the metrics registry.
   void PublishMetrics();
   /// Publishes one wide progress event (round / stage) to the tap.
@@ -237,6 +239,10 @@ class FixpointDriver {
   PlanExecutor exec_;
   ChoiceRuntime choice_;
   std::vector<std::unique_ptr<GammaState>> gamma_states_;  // by gamma_index
+  // γ scratch, reused across calls: the snapshot a push gathers and the
+  // frame a pop restores into.
+  std::vector<Value> snapshot_;
+  BindingFrame frame_;
   FixpointStats stats_;
 
   ObsContext obs_;

@@ -223,6 +223,7 @@ class RuleCompiler {
 
     ComputeSnapshotSlots();
     ComputeCongruence();
+    ComputeVacuity();
     out_.num_slots = static_cast<uint32_t>(out_.slot_names.size());
     return std::move(out_);
   }
@@ -997,6 +998,63 @@ class RuleCompiler {
     out_.merge_by_choice_keys = true;
     out_.congruence_slots.assign(keys.begin(), keys.end());
     std::sort(out_.congruence_slots.begin(), out_.congruence_slots.end());
+  }
+
+  /// Variables, constants, and tuples of them: terms whose evaluation
+  /// cannot fail once their variables are bound.
+  bool IsTotal(uint32_t t) const {
+    const CTerm& term = out_.pool[t];
+    switch (term.kind) {
+      case CTerm::Kind::kConst:
+      case CTerm::Kind::kVar:
+        return true;
+      case CTerm::Kind::kConstruct:
+        if (term.functor != store_->tuple_functor()) return false;
+        for (uint32_t a : term.args) {
+          if (!IsTotal(a)) return false;
+        }
+        return true;
+      case CTerm::Kind::kArith:
+        return false;
+    }
+    return false;
+  }
+
+  /// True iff `slot` is the left term itself or one of its top-level
+  /// tuple components, as a plain variable.
+  bool IsPlainComponent(uint32_t t, uint32_t slot) const {
+    const CTerm& term = out_.pool[t];
+    if (term.kind == CTerm::Kind::kVar) return term.var_slot == slot;
+    if (term.kind != CTerm::Kind::kConstruct ||
+        term.functor != store_->tuple_functor()) {
+      return false;
+    }
+    for (uint32_t a : term.args) {
+      const CTerm& arg = out_.pool[a];
+      if (arg.kind == CTerm::Kind::kVar && arg.var_slot == slot) return true;
+    }
+    return false;
+  }
+
+  void ComputeVacuity() {
+    // Runtime merging needs the compiler's congruence proof and a cost
+    // order (FixpointDriver); only then can L stand in for a goal.
+    const bool merges = out_.merge_by_choice_keys && out_.has_extremum;
+    for (ChoiceSpec& spec : out_.choices) {
+      if (!IsTotal(spec.left_term) || !IsTotal(spec.right_term)) continue;
+      const CTerm& left = out_.pool[spec.left_term];
+      if (spec.from_next && left.kind == CTerm::Kind::kVar &&
+          left.var_slot == out_.stage_slot) {
+        spec.vacuity = ChoiceSpec::Vacuity::kFreshStage;
+        continue;
+      }
+      if (!merges) continue;
+      bool holds_key = true;
+      for (uint32_t s : out_.congruence_slots) {
+        if (!IsPlainComponent(spec.left_term, s)) holds_key = false;
+      }
+      if (holds_key) spec.vacuity = ChoiceSpec::Vacuity::kCongruence;
+    }
   }
 
   const Program& program_;

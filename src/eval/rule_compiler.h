@@ -116,6 +116,18 @@ struct ChoiceSpec {
   // of γ firings (each W value fires at most once — the termination
   // argument behind Theorem 2); neither contributes congruence keys.
   bool from_next = false;
+  // Compiler-proven vacuity: the goal can never reject a candidate, so
+  // the choice runtime neither evaluates nor memoizes it. Both terms are
+  // total (variables, constants, or tuples of them), and either
+  //   kFreshStage — it is next's choice(I, W): every firing binds a fresh
+  //                 stage, so I never repeats in the rule's memo;
+  //   kCongruence — every congruence slot is a plain-variable component
+  //                 of the left term, so a repeated left value implies a
+  //                 repeated congruence key, which L already rejects.
+  //                 Holds only while the rule's queue merges (the
+  //                 runtime merge option can turn merging off).
+  enum class Vacuity : uint8_t { kNone, kFreshStage, kCongruence };
+  Vacuity vacuity = Vacuity::kNone;
 };
 
 struct CompiledRule {

@@ -1,5 +1,6 @@
 #include "eval/seminaive.h"
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "eval/vm/vm.h"
 #include "obs/metrics.h"
@@ -130,21 +131,18 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
 
   bool aborted = false;
   if (scan.index_id >= 0) {
-    // Evaluate the probe key.
-    std::vector<Value> key;
-    key.reserve(scan.bound_cols.size());
-    bool key_ok = true;
+    // Evaluate the probe key, folding each value into the
+    // Index::HashKey recurrence as it comes (the key is only hashed).
+    uint64_t h = 0xabcdef0123456789ull ^ scan.bound_cols.size();
     for (uint32_t col : scan.bound_cols) {
       Value v;
       if (!EvalTerm(rule.pool, scan.arg_terms[col], *frame, store_, &v)) {
-        key_ok = false;
-        break;
+        return !scan.negated ? true : on_match();
       }
-      key.push_back(v);
+      h = HashCombine(h, v.Hash());
     }
-    if (!key_ok) return !scan.negated ? true : on_match();
     const Index& index = rel.index(static_cast<size_t>(scan.index_id));
-    auto it = index.Probe(Index::HashKey(TupleView(key)));
+    auto it = index.Probe(h);
     for (RowId row = it.Next(); row != kNoRow; row = it.Next()) {
       if (row < window.begin || row >= window.end) continue;
       const int r = try_row(row);

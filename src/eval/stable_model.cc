@@ -21,10 +21,10 @@ bool StartsWith(const std::string& s, const char* prefix) {
 /// agrees with `v` on a goal's left positions but differs on its right
 /// positions.
 bool DiffChoiceHolds(const ChoiceRewriteInfo::Entry& entry,
-                     const std::vector<std::vector<Value>>& chosen,
-                     TupleView v) {
+                     const ChosenSet& chosen, TupleView v) {
   for (const ChoiceGoalSig& goal : entry.goals) {
-    for (const std::vector<Value>& c : chosen) {
+    for (size_t k = 0; k < chosen.count; ++k) {
+      const TupleView c = chosen[k];
       bool left_match = true;
       for (uint32_t pos : goal.left_positions) {
         if (c[pos] != v[pos]) {
@@ -45,7 +45,7 @@ bool DiffChoiceHolds(const ChoiceRewriteInfo::Entry& entry,
 
 Result<StableCheckResult> CheckStableModel(
     const Program& original, const Catalog& model_catalog, ValueStore* store,
-    const std::vector<std::vector<std::vector<Value>>>& chosen_by_rule,
+    const std::vector<ChosenSet>& chosen_by_rule,
     const std::vector<size_t>& seed_watermarks) {
   // ---- 1. Rewrite to normal form -----------------------------------------
   GDLOG_ASSIGN_OR_RETURN(Program p1, ExpandNext(original));
@@ -98,13 +98,12 @@ Result<StableCheckResult> CheckStableModel(
     const PredicateId id =
         cm.Ensure(info.entries[i].chosen_name, info.entries[i].arity);
     Relation& rel = cm.relation(id);
-    for (const std::vector<Value>& t : chosen_by_rule[i]) {
-      if (t.size() != info.entries[i].arity) {
-        return Status::InvalidArgument("chosen tuple arity mismatch for " +
-                                       info.entries[i].chosen_name);
-      }
-      rel.Insert(TupleView(t));
+    const ChosenSet& chosen = chosen_by_rule[i];
+    if (chosen.count > 0 && chosen.arity != info.entries[i].arity) {
+      return Status::InvalidArgument("chosen tuple arity mismatch for " +
+                                     info.entries[i].chosen_name);
     }
+    for (size_t k = 0; k < chosen.count; ++k) rel.Insert(chosen[k]);
   }
 
   // aux$ rules compile against the model catalog with their head

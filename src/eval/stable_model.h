@@ -20,6 +20,7 @@
 #ifndef GDLOG_EVAL_STABLE_MODEL_H_
 #define GDLOG_EVAL_STABLE_MODEL_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,17 @@
 #include "storage/catalog.h"
 
 namespace gdlog {
+
+/// The chosen$i tuples of one choice rule, flat: `count` tuples of
+/// `arity` values each, tuple k at values[k * arity, (k + 1) * arity).
+struct ChosenSet {
+  std::span<const Value> values;
+  uint32_t arity = 0;
+  size_t count = 0;
+  TupleView operator[](size_t k) const {
+    return values.subspan(k * arity, arity);
+  }
+};
 
 struct StableCheckResult {
   bool stable = false;
@@ -38,14 +50,15 @@ struct StableCheckResult {
 };
 
 /// Verifies that the contents of `model_catalog` (plus `chosen_by_rule`,
-/// indexed like RewriteChoice's chosen$i) form a stable model of
+/// indexed like RewriteChoice's chosen$i; every set's arity must match
+/// its chosen$i) form a stable model of
 /// `original`. `store` must be the ValueStore the model was built with.
 /// `seed_watermarks[pred]` is the number of rows of each relation that
 /// existed before evaluation (user facts + program facts): those rows
 /// seed the reduct's least fixpoint as extensional input.
 Result<StableCheckResult> CheckStableModel(
     const Program& original, const Catalog& model_catalog, ValueStore* store,
-    const std::vector<std::vector<std::vector<Value>>>& chosen_by_rule,
+    const std::vector<ChosenSet>& chosen_by_rule,
     const std::vector<size_t>& seed_watermarks);
 
 }  // namespace gdlog

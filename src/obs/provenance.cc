@@ -173,11 +173,15 @@ std::string ChoiceAuditText(const ChoiceAuditTrail& trail,
     return "(no choice firings recorded)\n";
   }
   for (const ChoiceAuditEntry& e : trail.entries()) {
-    out += "#" + std::to_string(e.firing) + " rule " +
-           std::to_string(e.rule_index);
-    if (e.stage >= 0) out += " stage " + std::to_string(e.stage);
-    out += ": chose " + e.witness;
-    out += "  cost=" + store.ToString(e.cost);
+    if (e.fired) {
+      out += "#" + std::to_string(e.firing) + " rule " +
+             std::to_string(e.rule_index);
+      if (e.stage >= 0) out += " stage " + std::to_string(e.stage);
+      out += ": chose " + e.witness;
+      out += "  cost=" + store.ToString(e.cost);
+    } else {
+      out += "-- rule " + std::to_string(e.rule_index) + ": drained";
+    }
     out += "  candidates=" + std::to_string(e.candidate_set);
     out += " pops=" + std::to_string(e.pops);
     out += " ties=" + std::to_string(e.ties);

@@ -15,7 +15,9 @@
 //                     (shell `.why`, batch `--why`).
 //   ChoiceAuditTrail — one entry per γ firing: candidate-set size,
 //                     chosen witness, tie count, pops, and the
-//                     admissibility rejections it took to get there.
+//                     admissibility rejections it took to get there;
+//                     plus one unfired entry per γ step whose queue
+//                     drained after rejections.
 #ifndef GDLOG_OBS_PROVENANCE_H_
 #define GDLOG_OBS_PROVENANCE_H_
 
@@ -59,14 +61,16 @@ void ProofTreeJson(const ProofNode& root, JsonWriter* w);
 /// Graphviz DOT digraph; premise edges point at what they justify.
 std::string ProofTreeDot(const ProofNode& root);
 
-/// One γ firing as the choice audit saw it. "Candidate set" is the live
-/// |Q| before this firing's pop sequence; "ties" counts the other live
-/// candidates whose cost equals the winner's (0 for FIFO rules, where
-/// cost carries no information).
+/// One γ step as the choice audit saw it: a firing, or (`fired` false)
+/// a pass whose pops were all rejected until the queue drained — such an
+/// entry has no firing ordinal (0), winner, cost, or ties. "Candidate
+/// set" is the live |Q| before the step's pop sequence; "ties" counts
+/// the other live candidates whose cost equals the winner's (0 for FIFO
+/// rules, where cost carries no information).
 struct ChoiceAuditEntry {
   uint32_t rule_index = 0;  // CompiledRule::number
   int gamma_index = -1;
-  uint64_t firing = 0;   // 1-based global γ firing ordinal
+  uint64_t firing = 0;   // 1-based global γ firing ordinal; 0 if unfired
   int64_t stage = -1;    // stage assigned (next rules only)
   uint64_t candidate_set = 0;
   uint64_t pops = 0;     // pops consumed to reach the winner
@@ -78,7 +82,7 @@ struct ChoiceAuditEntry {
   uint64_t rejected_extremum = 0;
   uint64_t rejected_fd = 0;
   uint64_t rejected_post = 0;
-  bool fired = true;
+  bool fired = true;     // false: the queue drained after rejections
   Value cost;            // winner's extremum cost (Int(0) for FIFO)
   std::string witness;   // rendered head atom of the winner
   PredicateId head_pred = kNoPredicate;
@@ -97,7 +101,7 @@ class ChoiceAuditTrail {
   std::vector<ChoiceAuditEntry> entries_;
 };
 
-/// One line per firing, shell `.choices` format.
+/// One line per audited γ step, shell `.choices` format.
 std::string ChoiceAuditText(const ChoiceAuditTrail& trail,
                             const ValueStore& store);
 

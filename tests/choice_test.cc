@@ -1,10 +1,16 @@
 // Tests for the choice construct: FD enforcement, multiple choice
-// models across seeds, choice in recursion, and the chosen memo.
+// models across seeds, choice in recursion, the chosen memo, and the
+// compiler's vacuous-goal proofs.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
+#include "analysis/stage.h"
 #include "api/engine.h"
+#include "eval/rule_compiler.h"
+#include "parser/parser.h"
 
 namespace gdlog {
 namespace {
@@ -135,6 +141,100 @@ TEST(Choice, RewrittenProgramTextMentionsChosen) {
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("chosen$0"), std::string::npos);
   EXPECT_NE(text->find("not diffChoice$0"), std::string::npos);
+}
+
+// -- Vacuous FD goals ------------------------------------------------------
+
+using Vacuity = ChoiceSpec::Vacuity;
+
+/// The vacuity of each choice goal of `text`'s single gamma rule, in
+/// CompiledRule::choices order.
+std::vector<Vacuity> GoalVacuity(const std::string& text) {
+  ValueStore store;
+  Catalog catalog;
+  auto prog = ParseProgram(&store, text);
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+  if (!prog.ok()) return {};
+  auto analysis = AnalyzeStages(*prog);
+  EXPECT_TRUE(analysis.ok()) << analysis.status().ToString();
+  if (!analysis.ok()) return {};
+  auto rules = CompileProgram(*prog, *analysis, &catalog, &store);
+  EXPECT_TRUE(rules.ok()) << rules.status().ToString();
+  if (!rules.ok()) return {};
+  std::vector<Vacuity> out;
+  int gammas = 0;
+  for (const CompiledRule& r : *rules) {
+    if (!r.is_gamma) continue;
+    ++gammas;
+    for (const ChoiceSpec& spec : r.choices) out.push_back(spec.vacuity);
+  }
+  EXPECT_EQ(gammas, 1);
+  return out;
+}
+
+TEST(ChoiceVacuity, PrimGoalsAreAllVacuous) {
+  std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/programs/prim.dl");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  // next(I) expands to choice(I, W) and choice(W, I); the body adds
+  // choice(Y, X). The congruence key is Y, a component of W and Y.
+  EXPECT_EQ(GoalVacuity(text.str()),
+            (std::vector<Vacuity>{Vacuity::kFreshStage, Vacuity::kCongruence,
+                                  Vacuity::kCongruence}));
+}
+
+TEST(ChoiceVacuity, ArithmeticInWIsNotTotal) {
+  // W = (X + 1, C): neither next goal can be skipped, since evaluating
+  // W can fail. choice(Y, X) keeps its congruence proof.
+  EXPECT_EQ(GoalVacuity(R"(
+    q(1, 2, 5). q(1, 3, 4).
+    p(X + 1, Y, C, I) <- next(I), q(X, Y, C), least(C, I), choice(Y, X).
+  )"),
+            (std::vector<Vacuity>{Vacuity::kNone, Vacuity::kNone,
+                                  Vacuity::kCongruence}));
+}
+
+TEST(ChoiceVacuity, FifoRuleHasOnlyTheFreshStageProof) {
+  // No extremum: the queue never merges, so L cannot stand in for
+  // choice(W, I) or choice(X, Y).
+  EXPECT_EQ(GoalVacuity(R"(
+    p(a, 1). p(b, 2).
+    s(X, Y, I) <- next(I), p(X, Y), choice(X, Y).
+  )"),
+            (std::vector<Vacuity>{Vacuity::kFreshStage, Vacuity::kNone,
+                                  Vacuity::kNone}));
+}
+
+TEST(ChoiceVacuity, KeyMissingFromTheLeftTermIsChecked) {
+  // Congruence key {St, Crs}: each goal's left term holds only one of
+  // them, so both FDs stay checked.
+  EXPECT_EQ(GoalVacuity(R"(
+    takes(andy, engl, 4). takes(mark, engl, 2).
+    b(St, Crs, G) <- takes(St, Crs, G), least(G),
+                     choice(St, Crs), choice(Crs, St).
+  )"),
+            (std::vector<Vacuity>{Vacuity::kNone, Vacuity::kNone}));
+}
+
+TEST(ChoiceVacuity, NoMergeStillEnforcesEveryGoal) {
+  // With merging off, proof (b) does not apply and the FD memo must
+  // reject the second candidate of each Y: Prim's tree stays a tree.
+  std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/programs/prim.dl");
+  std::ostringstream text;
+  text << in.rdbuf();
+  for (const bool merge : {true, false}) {
+    SCOPED_TRACE(merge ? "merge" : "no-merge");
+    EngineOptions opts;
+    opts.eval.use_merge_congruence = merge;
+    Engine e(opts);
+    ASSERT_TRUE(e.LoadProgram(text.str()).ok());
+    ASSERT_TRUE(e.Run().ok());
+    EXPECT_EQ(e.Query("prm", 4).size(), 5u);  // root + 4 tree edges
+    auto check = e.VerifyStableModel();
+    ASSERT_TRUE(check.ok()) << check.status().ToString();
+    EXPECT_TRUE(check->stable) << check->diagnostic;
+  }
 }
 
 }  // namespace

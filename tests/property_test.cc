@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -356,6 +358,97 @@ TEST_P(SeedSweep, RandomChoiceVmMatchesInterpreter) {
   const BackendRunResult vm = RunChoiceProgram(p, EvalBackend::kVm);
   EXPECT_EQ(vm.status, oracle.status);
   EXPECT_EQ(vm.model, oracle.model) << p.text;
+}
+
+// -- Theorem 1 as the oracle for the choice runtime -------------------------
+// The stable-model checker rebuilds diffChoice$ from the chosen tuples
+// alone, so an FD goal the runtime skipped by mistake (a wrong vacuity
+// proof) shows up as an unstable model.
+
+void ExpectStable(Engine* e, const std::string& context) {
+  auto check = e->VerifyStableModel();
+  ASSERT_TRUE(check.ok()) << check.status().ToString() << "\n" << context;
+  EXPECT_TRUE(check->stable) << check->diagnostic << "\n" << context;
+}
+
+TEST_P(SeedSweep, RandomChoiceModelsAreStable) {
+  const RandomChoiceProgram p = MakeRandomChoiceProgram(GetParam() * 523 + 41);
+  for (const bool merge : {true, false}) {
+    EngineOptions opts;
+    opts.eval.use_merge_congruence = merge;
+    Engine e(opts);
+    ASSERT_TRUE(e.LoadProgram(p.text).ok());
+    for (const auto& row : p.items) {
+      ASSERT_TRUE(
+          e.AddFact("item", {Value::Int(row[0]), Value::Int(row[1])}).ok());
+    }
+    for (const auto& row : p.cands) {
+      ASSERT_TRUE(
+          e.AddFact("cand", {Value::Int(row[0]), Value::Int(row[1])}).ok());
+    }
+    ASSERT_TRUE(e.Run().ok()) << p.text;
+    ExpectStable(&e, (merge ? "merge\n" : "no-merge\n") + p.text);
+  }
+}
+
+TEST_P(SeedSweep, RandomPrimModelsAreStable) {
+  // Prim's three FD goals are all skipped under merging; random weights
+  // with many ties and a tie seed vary which congruent candidate wins.
+  // Simple graphs: one edge per ordered pair, none into the root.
+  Rng rng(GetParam() * 911 + 7);
+  const int64_t n = rng.NextInt(3, 9);
+  std::map<std::pair<int64_t, int64_t>, int64_t> edges;
+  for (int64_t y = 1; y < n; ++y) {
+    // A spanning edge into every node from an earlier one...
+    edges.emplace(std::make_pair(rng.NextInt(0, y - 1), y),
+                  rng.NextInt(1, 4));
+  }
+  for (int64_t k = rng.NextInt(0, 2 * n); k > 0; --k) {
+    // ...plus extra edges in both directions, self-loops included.
+    edges.emplace(std::make_pair(rng.NextInt(0, n - 1), rng.NextInt(1, n - 1)),
+                  rng.NextInt(1, 4));
+  }
+  std::ostringstream text;
+  text << "prm(nil, 0, 0, 0).\n"
+       << "prm(X, Y, C, I) <- next(I), new_g(X, Y, C, J), J < I,\n"
+       << "                   least(C, I), choice(Y, X).\n"
+       << "new_g(X, Y, C, J) <- prm(_, X, _, J), g(X, Y, C).\n";
+  for (const auto& [xy, c] : edges) {
+    text << "g(" << xy.first << ", " << xy.second << ", " << c << ").\n";
+  }
+  for (const bool merge : {true, false}) {
+    EngineOptions opts;
+    opts.eval.use_merge_congruence = merge;
+    opts.eval.choice_seed = GetParam();
+    Engine e(opts);
+    ASSERT_TRUE(e.LoadProgram(text.str()).ok());
+    ASSERT_TRUE(e.Run().ok()) << text.str();
+    EXPECT_EQ(e.Query("prm", 4).size(), static_cast<size_t>(n));
+    ExpectStable(&e, (merge ? "merge\n" : "no-merge\n") + text.str());
+  }
+}
+
+TEST(StableModels, ShippedProgramsAcrossSeedsAndMerge) {
+  for (const char* name : {"course_assignment.dl", "huffman.dl",
+                           "kruskal.dl", "prim.dl", "sort.dl"}) {
+    std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/programs/" + name);
+    ASSERT_TRUE(in.good()) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      for (const bool merge : {true, false}) {
+        EngineOptions opts;
+        opts.eval.choice_seed = seed;
+        opts.eval.use_merge_congruence = merge;
+        Engine e(opts);
+        ASSERT_TRUE(e.LoadProgram(text.str()).ok()) << name;
+        ASSERT_TRUE(e.Run().ok()) << name;
+        ExpectStable(&e, std::string(name) + " seed " +
+                             std::to_string(seed) +
+                             (merge ? " merge" : " no-merge"));
+      }
+    }
+  }
 }
 
 TEST_P(SeedSweep, BoundedStopParityAcrossBackends) {

@@ -235,9 +235,18 @@ INSTANTIATE_TEST_SUITE_P(Programs, ProvenanceDifferential,
 
 // -- 3. Choice audit vs procedural baselines -----------------------------
 
+// Entries for γ steps that fired (the rest record a drained queue).
+size_t FiredEntries(const ChoiceAuditTrail* audit) {
+  size_t n = 0;
+  for (const ChoiceAuditEntry& e : audit->entries()) n += e.fired ? 1 : 0;
+  return n;
+}
+
 int64_t AuditCostSum(const ChoiceAuditTrail* audit) {
   int64_t sum = 0;
-  for (const ChoiceAuditEntry& e : audit->entries()) sum += e.cost.AsInt();
+  for (const ChoiceAuditEntry& e : audit->entries()) {
+    if (e.fired) sum += e.cost.AsInt();
+  }
   return sum;
 }
 
@@ -275,7 +284,7 @@ TEST(ChoiceAudit, KruskalWinnersMatchBaseline) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const ChoiceAuditTrail* audit = r->engine->ChoiceAudit();
   ASSERT_NE(audit, nullptr);
-  EXPECT_EQ(audit->entries().size(), r->edges.size());
+  EXPECT_EQ(FiredEntries(audit), r->edges.size());
   EXPECT_EQ(AuditCostSum(audit), BaselineKruskal(g).total_cost);
 }
 
@@ -289,16 +298,16 @@ TEST(ChoiceAudit, HuffmanFiringsEqualMergeCount) {
   ASSERT_NE(audit, nullptr);
   // k letters -> k-1 merges, one gamma firing each; merged-node costs
   // sum to the weighted path length the baseline computes.
-  EXPECT_EQ(audit->entries().size(), freqs.size() - 1);
-  EXPECT_EQ(audit->entries().size(), r->merges);
+  EXPECT_EQ(FiredEntries(audit), freqs.size() - 1);
+  EXPECT_EQ(FiredEntries(audit), r->merges);
   EXPECT_EQ(AuditCostSum(audit), BaselineHuffman(freqs).total_cost);
 }
 
 TEST(ChoiceAudit, RejectionsAndTiesAreVisible) {
   // Triangle with a forced rejection: Kruskal takes costs 1 and 2, then
   // pops the cost-3 edge whose endpoints are already connected — its
-  // post plan yields no solution, so the audit never fires for it and
-  // the rejection lands in the flight recorder as a contested choice.
+  // post plan yields no solution, the queue drains, and the rejection
+  // lands both in the flight recorder and in an unfired audit entry.
   Graph g;
   g.num_nodes = 3;
   g.edges = {{0, 1, 1}, {1, 2, 2}, {0, 2, 3}};
@@ -306,13 +315,19 @@ TEST(ChoiceAudit, RejectionsAndTiesAreVisible) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const ChoiceAuditTrail* audit = r->engine->ChoiceAudit();
   ASSERT_NE(audit, nullptr);
-  ASSERT_EQ(audit->entries().size(), 2u);
+  ASSERT_EQ(audit->entries().size(), 3u);
+  ASSERT_EQ(FiredEntries(audit), 2u);
   uint64_t rejected_post = 0;
   for (const ChoiceAuditEntry& e : audit->entries()) {
-    rejected_post += e.rejected_post;
+    if (e.fired) rejected_post += e.rejected_post;
   }
   EXPECT_EQ(rejected_post, 0u)  // both winners fire on their first pop
       << "winners should not absorb the cycle edge's rejection";
+  const ChoiceAuditEntry& drained = audit->entries().back();
+  EXPECT_FALSE(drained.fired);
+  EXPECT_EQ(drained.rejected_post, 1u);
+  EXPECT_EQ(drained.pops, 1u);
+  EXPECT_EQ(drained.firing, 0u);
   const std::string blackbox = r->engine->DumpFlightRecorder();
   EXPECT_NE(blackbox.find("choice-reject"), std::string::npos) << blackbox;
 
@@ -320,6 +335,7 @@ TEST(ChoiceAudit, RejectionsAndTiesAreVisible) {
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("chose"), std::string::npos);
   EXPECT_NE(text->find("kruskal("), std::string::npos);
+  EXPECT_NE(text->find("drained"), std::string::npos) << *text;
 }
 
 // -- 4. Report, metrics, build info --------------------------------------
@@ -371,11 +387,11 @@ TEST(ChoiceAudit, ChoiceSeriesReachPrometheus) {
 // -- 5. The choice-reject contract ----------------------------------------
 //
 // docs/OBSERVABILITY.md: a choice-reject event is recorded every time a
-// popped candidate fails to fire, and a firing's audit entry counts the
-// rejections on the way to it. So, per rule, the events since the rule's
-// previous firing are exactly the next entry's rejections — except those
-// of a pass that drained the queue without firing, whose last event
-// reports 0 live candidates left.
+// popped candidate fails to fire, and the audit entry of that γ step
+// counts it — a firing's entry, or an unfired entry when the queue
+// drained. So, per rule, the events since the rule's previous firing are
+// exactly the rejections of the rule's audit entries since then, the
+// firing's own included; and every event is audited.
 
 // A choice rule whose first candidate's head fails to evaluate (a + 1):
 // one rejected_post, then the second candidate fires.
@@ -395,35 +411,79 @@ void ExpectRejectEventsMatchAudit(const std::string& text) {
   ASSERT_LE(rec->recorded(), rec->capacity());  // nothing lapped
   const ChoiceAuditTrail* audit = e.ChoiceAudit();
   ASSERT_NE(audit, nullptr);
-  std::map<int64_t, uint64_t> pending;  // rule -> rejections not yet owned
-  size_t firings = 0;
+  const auto rejections = [](const ChoiceAuditEntry& e) {
+    return e.rejected_extremum + e.rejected_fd + e.rejected_post;
+  };
+  // rule -> reject events since its last firing, and the rejections of
+  // its unfired (drained) entries audited since then.
+  std::map<int64_t, uint64_t> pending, drained;
+  const auto& entries = audit->entries();
+  size_t next = 0;  // audit entries consumed
   uint64_t events = 0, audited = 0;
   for (const FlightRecorder::Event& ev : rec->Snapshot()) {
     if (ev.kind == FlightEventKind::kChoiceReject) {
       ++events;
       ++pending[ev.a0];
-      if (ev.a1 == 0) pending[ev.a0] = 0;  // drained without firing
       continue;
     }
     if (ev.kind != FlightEventKind::kGammaFire &&
         ev.kind != FlightEventKind::kStageAdvance) {
       continue;
     }
-    ASSERT_LT(firings, audit->entries().size());
-    const ChoiceAuditEntry& entry = audit->entries()[firings++];
+    // Drained steps precede this firing in the trail.
+    for (; next < entries.size() && !entries[next].fired; ++next) {
+      EXPECT_GT(rejections(entries[next]), 0u);
+      EXPECT_EQ(entries[next].firing, 0u);
+      drained[entries[next].rule_index] += rejections(entries[next]);
+      audited += rejections(entries[next]);
+    }
+    ASSERT_LT(next, entries.size());
+    const ChoiceAuditEntry& entry = entries[next++];
     EXPECT_EQ(ev.a0, entry.rule_index);
     // gamma-fire carries the firing ordinal, stage-advance the stage.
     EXPECT_EQ(ev.a1, ev.kind == FlightEventKind::kGammaFire
                          ? static_cast<int64_t>(entry.firing)
                          : entry.stage);
-    const uint64_t rejected =
-        entry.rejected_extremum + entry.rejected_fd + entry.rejected_post;
-    EXPECT_EQ(pending[ev.a0], rejected) << "firing #" << entry.firing;
-    audited += rejected;
+    EXPECT_EQ(pending[ev.a0], drained[ev.a0] + rejections(entry))
+        << "firing #" << entry.firing;
+    audited += rejections(entry);
     pending[ev.a0] = 0;
+    drained[ev.a0] = 0;
   }
-  EXPECT_EQ(firings, audit->entries().size());
-  EXPECT_GE(events, audited);
+  // Whatever follows the last firing is drained steps only.
+  for (; next < entries.size(); ++next) {
+    EXPECT_FALSE(entries[next].fired);
+    drained[entries[next].rule_index] += rejections(entries[next]);
+    audited += rejections(entries[next]);
+  }
+  for (const auto& [rule, n] : pending) {
+    EXPECT_EQ(n, drained[rule]) << "rule " << rule;
+  }
+  EXPECT_EQ(events, audited);
+}
+
+TEST(ChoiceRejectContract, DrainedStepsAreAudited) {
+  // course_assignment.dl: the recorder's 5 choice-reject events are
+  // all audited — 1 on the way to a firing, 4 in drained steps.
+  EngineOptions opts = WithProvenance();
+  Engine e(opts);
+  ASSERT_TRUE(e.LoadProgram(ReadFileOrDie("course_assignment.dl")).ok());
+  ASSERT_TRUE(e.Run().ok());
+  uint64_t rejections = 0, unfired = 0;
+  for (const ChoiceAuditEntry& entry : e.ChoiceAudit()->entries()) {
+    rejections +=
+        entry.rejected_extremum + entry.rejected_fd + entry.rejected_post;
+    if (!entry.fired) ++unfired;
+  }
+  EXPECT_EQ(rejections, 5u);
+  EXPECT_GT(unfired, 0u);
+  auto metrics = e.MetricsText();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->find("gdlog_choice_audit_firings_total " +
+                          std::to_string(e.ChoiceAudit()->entries().size() -
+                                         unfired)),
+            std::string::npos)
+      << *metrics;
 }
 
 TEST(ChoiceRejectContract, ShippedPrograms) {

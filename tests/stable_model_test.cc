@@ -104,9 +104,10 @@ TEST(StableModel, RejectsChoiceViolatingFd) {
     model.relation(a_st).Insert(TupleView(row));
   }
   // chosen$0 carries (Crs, St) for both students — FD Crs -> St broken.
-  std::vector<std::vector<Value>> chosen0 = {{engl, andy}, {engl, mark}};
+  const std::vector<Value> chosen0 = {engl, andy, engl, mark};
   std::vector<size_t> watermarks{2, 0};
-  auto check = CheckStableModel(*prog, model, &store, {chosen0}, watermarks);
+  auto check = CheckStableModel(*prog, model, &store,
+                                {ChosenSet{chosen0, 2, 2}}, watermarks);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_FALSE(check->stable);
 }
